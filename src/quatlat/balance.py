@@ -10,7 +10,6 @@ a miss is reported as absence, never as impossibility.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -79,51 +78,33 @@ def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
     Returns (conjugator, conjugate) or None when the bounded search misses.
     Already-balanced input returns the identity immediately.  Candidates are
     scanned by increasing norm, then increasing coordinate height, elements
-    in sorted coordinate order; the first hit in that order is returned
-    regardless of thread count.
+    in sorted coordinate order; the first hit in that order is returned.
+    threads is accepted for compatibility and does not change the search:
+    the work is pure-Python arithmetic, which threads cannot run in parallel.
     """
     ord_lat = spec.ord
     mo = ord_lat.order
     if ord_lat.is_balanced():
         return mo.alg.one(), ord_lat
     level = ord_lat.level()
-    bad = sorted(spec.primes)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for n in _candidate_norms(bad, spec.k_max):
-            height = 2
-            tried = set()
-            while height <= spec.height_max:
-                batch = []
-                for gamma in norm_elements(mo.lattice, n, height):
-                    key = gamma.coords()
-                    if key not in tried:
-                        tried.add(key)
-                        batch.append(gamma)
-                results = (
-                    pool.map(lambda g: _try_conjugator(ord_lat, level, g), batch)
-                    if pool
-                    else map(lambda g: _try_conjugator(ord_lat, level, g), batch)
-                )
-                for gamma, conj in zip(batch, results):
-                    if conj is not None:
-                        return gamma, conj
-                height *= 2
-            if height // 2 < spec.height_max:
-                # one final pass exactly at the cap
-                batch = [
-                    g
-                    for g in norm_elements(mo.lattice, n, spec.height_max)
-                    if g.coords() not in tried
-                ]
-                for gamma in batch:
-                    conj = _try_conjugator(ord_lat, level, gamma)
-                    if conj is not None:
-                        return gamma, conj
-        return None
-    finally:
-        if pool:
-            pool.shutdown()
+    heights = []
+    height = 2
+    while height <= spec.height_max:
+        heights.append(height)
+        height *= 2
+    if height // 2 < spec.height_max:
+        heights.append(spec.height_max)  # one final pass exactly at the cap
+    for n in _candidate_norms(sorted(spec.primes), spec.k_max):
+        tried = set()
+        for height in heights:
+            for gamma in norm_elements(mo.lattice, n, height):
+                if gamma in tried:
+                    continue
+                tried.add(gamma)
+                conj = _try_conjugator(ord_lat, level, gamma)
+                if conj is not None:
+                    return gamma, conj
+    return None
 
 
 def _try_conjugator(ord_lat: Lattice4, level: int, gamma: Quat):

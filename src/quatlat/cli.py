@@ -13,7 +13,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ from .lattice import (
     saturate_to_maximal,
 )
 from .quat import QuatAlg, UpperHalfPoint, ZBox, box_constant
-from . import intmat
 
 log = logging.getLogger("quatlat")
 
@@ -45,11 +43,37 @@ def _to_fraction(v) -> Fraction:
         raise UsageError("expected a rational, got a boolean")
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
-    if isinstance(v, str):
-        return Fraction(v)
+    if isinstance(v, (float, str)):
+        try:
+            return Fraction(str(v) if isinstance(v, float) else v)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"cannot read {v!r} as a rational") from None
     raise UsageError(f"cannot read {v!r} as a rational")
+
+
+def _to_int(v, what: str) -> int:
+    """An integer from a config value or the environment."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    elif isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise UsageError(f"{what} must be an integer, got {v!r}")
+
+
+def _algebra(raw) -> QuatAlg:
+    """The algebra from a config value: [p, q] or {"p": p, "q": q}."""
+    if isinstance(raw, dict) and "p" in raw and "q" in raw:
+        p, q = raw["p"], raw["q"]
+    elif isinstance(raw, list) and len(raw) == 2:
+        p, q = raw
+    else:
+        raise UsageError('algebra must be [p, q] or {"p": p, "q": q}')
+    return QuatAlg(_to_int(p, "algebra p"), _to_int(q, "algebra q"))
 
 
 def parse_factored(text: str) -> dict[int, int]:
@@ -99,7 +123,7 @@ def _lattice_rows(obj, what: str):
         raise UsageError(f"{what} must be an object with 'mat' (16 integers) and 'den'")
     mat = obj["mat"]
     den = obj.get("den", 1)
-    if len(mat) != 16 or not all(isinstance(v, int) for v in mat):
+    if not isinstance(mat, list) or len(mat) != 16 or not all(isinstance(v, int) for v in mat):
         raise UsageError(f"{what}.mat must hold exactly 16 integers")
     if not isinstance(den, int) or den < 1:
         raise UsageError(f"{what}.den must be a positive integer")
@@ -120,8 +144,9 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
     raw = {}
     if path is not None:
         raw = _read_json(path, "config")
-    alg_raw = raw.get("algebra", {"p": 3, "q": -1})
-    alg = QuatAlg(int(alg_raw["p"]), int(alg_raw["q"]))
+    if not isinstance(raw, dict):
+        raise UsageError("config must be a JSON object")
+    alg = _algebra(raw.get("algebra", {"p": 3, "q": -1}))
     mo = order_lat = None
     if need_lattice:
         if "maximal_order" in raw:
@@ -134,7 +159,7 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
             log.info(
                 "maximal order not given; saturated from the standard basis to "
                 "level-1 order with reduced discriminant %s",
-                mo.lattice.reduced_discriminant(),
+                mo.discriminant,
             )
         if "order" in raw:
             rows = _lattice_rows(raw["order"], "order")
@@ -146,21 +171,25 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
     if "delta" in overrides and overrides["delta"] is not None:
         delta = overrides["delta"]
     zb = raw.get("z_box", list(DEFAULT_Z_BOX))
-    if len(zb) != 4:
+    if not isinstance(zb, list) or len(zb) != 4:
         raise UsageError("z_box must hold 4 reals")
     z_box = ZBox(*(float(_to_fraction(v)) for v in zb))
     sweep = raw.get("sweep", {})
-    l_max = int(sweep.get("l_max", 10))
+    if not isinstance(sweep, dict):
+        raise UsageError("sweep must be a JSON object")
+    l_max = _to_int(sweep.get("l_max", 10), "sweep.l_max")
     squares_only = bool(sweep.get("squares_only", False))
-    samples = int(sweep.get("samples", 4))
-    seed = int(sweep.get("seed", 0))
+    samples = _to_int(sweep.get("samples", 4), "sweep.samples")
+    seed = _to_int(sweep.get("seed", 0), "sweep.seed")
     if overrides.get("lmax") is not None:
         l_max = overrides["lmax"]
     if overrides.get("squares"):
         squares_only = True
     if overrides.get("seed") is not None:
         seed = overrides["seed"]
-    threads = int(raw.get("threads", 0)) or int(os.environ.get("QUATLAT_THREADS", "1"))
+    threads = _to_int(raw.get("threads", 0), "threads") or _to_int(
+        os.environ.get("QUATLAT_THREADS", "1"), "QUATLAT_THREADS"
+    )
     if overrides.get("threads") is not None:
         threads = overrides["threads"]
     if l_max < 1 or samples < 1 or threads < 1:
@@ -213,9 +242,12 @@ def _atomic_write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
 
 
 def _cmd_algebra(cfg: ExperimentConfig, args) -> str:
@@ -249,8 +281,7 @@ def _cmd_order(cfg: ExperimentConfig, args) -> str:
 
 def _cmd_count(cfg: ExperimentConfig, args) -> str:
     lat = cfg.order_lat
-    frame_inv = intmat.inverse_frac([list(r) for r in cfg.mo.basis])
-    t = box_constant(cfg.delta, cfg.z_box, cfg.alg, frame_inv=frame_inv)
+    t = box_constant(cfg.delta, cfg.z_box, cfg.alg, frame_inv=cfg.mo._from_ijk)
     witness = counting.build_injection(lat)
     sh = lat.shape()
     points = sample_points(cfg.z_box, cfg.samples, cfg.seed)
@@ -268,12 +299,9 @@ def _cmd_count(cfg: ExperimentConfig, args) -> str:
             f"{rep.ratio!r},{wall!r}"
         )
 
-    tasks = list(enumerate(points))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(task) for task in tasks]
+    # --threads is validated but runs one sweep after another: the sweeps
+    # are pure-Python work, which threads cannot run in parallel
+    rows = [one(task) for task in enumerate(points)]
     header = [
         f"# quatlat {__version__}",
         f"# seed={cfg.seed} delta={cfg.delta!r} box_t={t.t!r}",
@@ -330,10 +358,13 @@ def _cmd_coprime(cfg: ExperimentConfig, args) -> str:
         parts = line.split(";")
         if len(parts) < 2:
             raise UsageError(f"bad problem line {line!r}: want 'a0,...,an;N[;c[;bound]]'")
-        a = tuple(int(v) for v in parts[0].split(","))
-        big_n = int(parts[1])
-        c = int(parts[2]) if len(parts) > 2 and parts[2] else 2
-        bound = int(parts[3]) if len(parts) > 3 and parts[3] else None
+        try:
+            a = tuple(int(v) for v in parts[0].split(","))
+            big_n = int(parts[1])
+            c = int(parts[2]) if len(parts) > 2 and parts[2] else 2
+            bound = int(parts[3]) if len(parts) > 3 and parts[3] else None
+        except ValueError:
+            raise UsageError(f"bad problem line {line!r}: entries must be integers") from None
         prob = coprime.CombinationProblem(a, big_n, c, bound)
         sols = coprime.solve(prob)
         out.append(" ".join(",".join(str(v) for v in s) for s in sols))
@@ -345,8 +376,10 @@ def _cmd_amp(cfg: ExperimentConfig, args) -> str:
     sample = None
     if args.satake:
         raw = _read_json(args.satake, "satake file")
+        if not isinstance(raw, dict):
+            raise UsageError("satake file must map primes to rationals")
         sample = amp_mod.SatakeSample(
-            tuple((int(p), _to_fraction(v)) for p, v in raw.items())
+            tuple((_to_int(p, "satake prime"), _to_fraction(v)) for p, v in raw.items())
         )
     spec = amp_mod.amplifier_spec(_to_fraction(args.lam), bad, sample=sample)
     combo = amp_mod.build_amplifier(spec)
@@ -435,6 +468,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once: parsing never mutates the parser, and rebuilding it per call
+# left a cyclic structure of some 500 objects for the collector each time
+_PARSER = _build_parser()
+
 _DISPATCH = {
     "algebra": (_cmd_algebra, True),
     "order": (_cmd_order, True),
@@ -448,9 +485,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         overrides = {
             "seed": args.seed,
             "threads": args.threads,

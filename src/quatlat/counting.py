@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt, sqrt
+from math import gcd, isqrt, sqrt
 
 from . import coprime, intmat
 from .arith import divisor_count, is_square, sqrt_ceil_of_product
 from .errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
 from .lattice import Lattice4, Shape, norm_elements, traceless_slices
-from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, u_dist
+from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
 
 U_SLACK = 1e-9
 
@@ -134,10 +133,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
     )
     hd = intmat.matmul([list(r) for r in h_mat], [list(r) for r in dm])
     s1, s2_, s3_ = hd[1]
-    g = n_mod
-    for v_ in (s1, s2_, s3_):
-        g = __import__("math").gcd(g, v_)
-    if g != 1:
+    if gcd(n_mod, s1, s2_, s3_) != 1:
         raise TheoremViolation("middle row must be unimodular mod the level")
 
     picks = coprime.solve(coprime.CombinationProblem((s1, s2_, s3_), n_mod, 2, bound))
@@ -193,12 +189,13 @@ def _check_product_pattern(w: InjectionWitness) -> None:
 
 
 def _int_coords(w: InjectionWitness, alpha: Quat) -> tuple[int, int, int, int]:
-    coords = w.lat.order.frame_coords(alpha)
-    if any(v.denominator != 1 for v in coords):
+    num, d = w.lat.order._frame_num(alpha)
+    if any(v % d for v in num):
         raise ContainmentError("element is not in the split lattice (integer coords)")
-    if not w.lat.contains_coords(coords):
+    coords = tuple(v // d for v in num)
+    if not w.lat._contains(coords, 1):
         raise ContainmentError("element is not in the witness lattice")
-    return tuple(int(v) for v in coords)
+    return coords
 
 
 def project_alpha(w: InjectionWitness, alpha: Quat) -> ProjectedTuple:
@@ -327,24 +324,28 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
     counts: dict[int, int] = {}
     den = q.lat.den
     dd = den * den
-    x, y = q.z.x, q.z.y
     order = q.lat.order
+    # F_z(v) = |g_z^-1 iota(v) g_z|^2 is a quadratic form on the trace-zero
+    # frame; its float Gram gives den^2 * F_z(w / den) per slice
+    g = [[e for row in _iota_conj(v, q.z.x, q.z.y) for e in row] for v in order.i_basis]
+    gram = [[sum(a * b for a, b in zip(g[k], g[l])) for l in range(3)] for k in range(3)]
+    f00, f11, f22 = gram[0][0], gram[1][1], gram[2][2]
+    f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
     pre_delta = q.delta + 1e-6
     c_hi = 4.0 * pre_delta + 2.0
     box_cache: dict[int, int] = {}
     for wv, j, qs in traceless_slices(q.lat, height):
-        v = order.quat_from_frame(
-            (Fraction(0), Fraction(wv[0], den), Fraction(wv[1], den), Fraction(wv[2], den))
-        )
-        (ma, mb), (mc, md) = _iota_conj(v, x, y)
-        f_norm = ma * ma + mb * mb + mc * mc + md * md
         h2_cap = dd * max_norm - qs
         if h2_cap < 0:
             continue
+        w0, w1, w2 = wv
+        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + (
+            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2
+        )
         # ball pre-filter: with alpha = x0 + v and m = nrd(alpha), the move
         # condition u <= delta reads 2 x0^2 + F <= (4 delta + 2) m, which is
         # a floor on h^2 (scalars move nothing, so large h only helps)
-        floor_f = (dd * f_norm - c_hi * qs) / (4.0 * pre_delta)
+        floor_f = (f_scaled - c_hi * qs) / (4.0 * pre_delta)
         h_lo = 0 if floor_f <= 0 else max(0, isqrt(int(floor_f)) - 2)
         h_hi = isqrt(h2_cap)
         first = h_lo + ((j - h_lo) % den)
@@ -366,9 +367,7 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
                     box_cache[m] = hm
                 if abs(h) > hm or any(abs(c) > hm for c in wv):
                     continue
-                alpha = order.quat_from_frame(
-                    (Fraction(h, den), Fraction(wv[0], den), Fraction(wv[1], den), Fraction(wv[2], den))
-                )
+                alpha = order.quat_from_frame((h, w0, w1, w2), den)
                 if in_ball(alpha, q.z, q.delta):
                     counts[m] = counts.get(m, 0) + 1
     total = sum(counts.values())
@@ -515,11 +514,10 @@ def _pair_det(a: Quat, b: Quat) -> int:
     """det of the doubled trace-zero parts of (a, b, ab), exactly."""
     rows = []
     for q in (a, b, a * b):
-        coords = q.coords()
-        doubled = [2 * coords[k] for k in (1, 2, 3)]
-        if any(v.denominator != 1 for v in doubled):
+        doubled = [2 * q.num[k] for k in (1, 2, 3)]
+        if any(v % q.den for v in doubled):
             raise TheoremViolation("doubled trace-zero parts must be integral")
-        rows.append([int(v) for v in doubled])
+        rows.append([v // q.den for v in doubled])
     return intmat.det(rows)
 
 
@@ -538,10 +536,9 @@ def reduce_into_box(z: UpperHalfPoint, box: ZBox, mo, height_cap: int = 64):
     h = 1
     while h <= height_cap:
         for gamma in norm_elements(mo.lattice, 1, h):
-            key = gamma.coords()
-            if key in seen:
+            if gamma in seen:
                 continue
-            seen.add(key)
+            seen.add(gamma)
             w = apply_quat(gamma, z)
             cand = UpperHalfPoint(w.real, w.imag)
             if box.contains(cand):
@@ -556,8 +553,6 @@ def _iota_conj(v: Quat, x: float, y: float):
     With g = [[s, x/s], [0, 1/s]], s = sqrt(y), the conjugate g^-1 M g of
     M = [[a, b], [c, d]] works out entrywise to the expressions below.
     """
-    from .quat import iota_inf
-
     (a, b), (c, d) = iota_inf(v)
     e11 = a - x * c
     e12 = (x * (a - d) + b - x * x * c) / y

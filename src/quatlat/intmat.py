@@ -26,18 +26,6 @@ def matmul(A, B):
     ]
 
 
-def mat_vec(A, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
-
-
-def vec_mat(v, A):
-    return [sum(v[i] * A[i][j] for i in range(len(v))) for j in range(len(A[0]))]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def det(A) -> int:
     """Cofactor-expansion determinant; intended for n <= 4."""
     n = len(A)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 from . import intmat
 from .arith import factorize
@@ -24,29 +24,57 @@ from .errors import (
     TheoremViolation,
     UsageError,
 )
-from .quat import Quat, QuatAlg
+from .quat import Quat, QuatAlg, mul_num, norm_num, over_one_den
 
 FracRow = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-def _canonical_rows(rows: list[list[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Canonical (integer HNF, denominator) pair for a rational row span."""
-    den = 1
-    for row in rows:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    scaled = [[int(v * den) for v in row] for row in rows]
-    H = intmat.hnf(scaled)
+def _canonical_int(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Canonical (integer HNF, denominator) pair for the span of rows / den.
+
+    Dividing out the common factor first is exact: the gcd of a basis's
+    entries and den does not depend on the basis.
+    """
+    if den < 0:
+        rows, den = [[-v for v in row] for row in rows], -den
+    g = gcd(den, *(v for row in rows for v in row))
+    if g > 1:
+        rows, den = [[v // g for v in row] for row in rows], den // g
+    H = intmat.hnf(rows)
     if len(H) != 4:
         raise DegenerateLatticeError(f"rank {len(H)} span, need 4")
-    g = den
-    for row in H:
-        for v in row:
-            g = gcd(g, v)
-    if g > 1:
-        H = [[v // g for v in row] for row in H]
-        den //= g
     return tuple(tuple(row) for row in H), den
+
+
+def _canonical_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Canonical (integer HNF, denominator) pair for a rational row span."""
+    width = len(rows[0])
+    flat, den = over_one_den([v for row in rows for v in row])
+    return _canonical_int([flat[i:i + width] for i in range(0, len(flat), width)], den)
+
+
+def _vecmat(v, cols) -> tuple[int, ...]:
+    """Row vector v (length 4) times the matrix given by its columns."""
+    v0, v1, v2, v3 = v
+    return tuple(v0 * a + v1 * b + v2 * c + v3 * d for a, b, c, d in cols)
+
+
+def _solve_int(mat, target, scale: int = 1):
+    """Integer c with c * (scale * mat) = target, or None when there is none.
+
+    mat is a 4x4 upper-triangular Hermite form with nonzero pivots, so the
+    solve is one exact division per column.
+    """
+    c = []
+    for col in range(4):
+        s = target[col]
+        for i in range(col):
+            s -= scale * c[i] * mat[i][col]
+        piv = scale * mat[col][col]
+        if s % piv:
+            return None
+        c.append(s // piv)
+    return c
 
 
 class MaximalOrder:
@@ -56,15 +84,19 @@ class MaximalOrder:
     (1, i1, i2, i3), where i1, i2, i3 is the Hermite basis of the trace-zero
     part.  The constructor re-checks closure, unit, and the discriminant
     certificate, so a successfully built instance is genuinely maximal.
+
+    The frame maps are kept as integer matrices over one denominator each:
+    (1, I, J, IJ) coordinates are frame coordinates times _t_cols / _t_den,
+    and frame coordinates are (1, I, J, IJ) coordinates times
+    _f_cols / _f_den (both stored by columns).
     """
 
     def __init__(self, alg: QuatAlg, ijk_rows: list[list[Fraction]]):
         self.alg = alg
-        mat, den = _ijk_canonical(ijk_rows)
-        quats = [alg.quat(*(Fraction(v, den) for v in row)) for row in mat]
+        mat, den = _canonical_rows(ijk_rows)
         if not _raw_is_order(alg, mat, den):
             raise UsageError("basis does not span an order")
-        disc = _raw_reduced_discriminant(quats)
+        disc = _raw_reduced_discriminant(alg, mat, den)
         if disc != alg.discriminant:
             raise UsageError(
                 f"order has reduced discriminant {disc}, not maximal "
@@ -74,14 +106,15 @@ class MaximalOrder:
         for row in mat[1:]:
             if row[0] != 0:
                 raise TheoremViolation("Hermite rows 2-4 should be trace-zero")
-        self.i_basis = tuple(
-            alg.quat(0, *(Fraction(v, den) for v in row[1:])) for row in mat[1:]
-        )
+        self.i_basis = tuple(Quat(alg, row, den) for row in mat[1:])
         self.basis = ((Fraction(1), Fraction(0), Fraction(0), Fraction(0)),) + tuple(
-            tuple(q.coords()) for q in self.i_basis
+            q.coords() for q in self.i_basis
         )
-        self._to_ijk = [list(r) for r in self.basis]
-        self._from_ijk = intmat.inverse_frac(self._to_ijk)
+        self._t_cols = tuple(zip((den, 0, 0, 0), *mat[1:]))
+        self._t_den = den
+        self._from_ijk = intmat.inverse_frac([list(r) for r in self.basis])
+        f_flat, self._f_den = over_one_den([v for row in self._from_ijk for v in row])
+        self._f_cols = tuple(zip(*(f_flat[i:i + 4] for i in range(0, 16, 4))))
         # integer Gram of the trace-zero frame under (x, y) -> trd(x * conj(y))
         S = [[0] * 3 for _ in range(3)]
         for k in range(3):
@@ -90,12 +123,12 @@ class MaximalOrder:
                 if v.denominator != 1:
                     raise TheoremViolation("trace pairing of integral basis not integral")
                 S[k][l] = int(v)
+        if any(S[k][k] % 2 for k in range(3)):
+            raise TheoremViolation("trace form of an integral element must be even")
         self.gram0 = tuple(tuple(row) for row in S)
-        frame_rows = [
-            [Fraction(x) for x in self.frame_coords(q)] for q in quats
-        ]
-        fmat, fden = _canonical_rows(frame_rows)
-        self.lattice = Lattice4(self, fmat, fden)
+        frame_rows = [_vecmat(row, self._f_cols) for row in mat]
+        fmat, fden = _canonical_int(frame_rows, den * self._f_den)
+        self._frame_hnf = (fmat, fden)
         if fden not in (1, 2):
             raise TheoremViolation(f"maximal order has frame denominator {fden}")
         # scalars plus trace-zero part must sit at index exactly two
@@ -107,26 +140,42 @@ class MaximalOrder:
     def discriminant(self) -> int:
         return self.alg.discriminant
 
-    def quat_from_frame(self, coords) -> Quat:
-        c = [Fraction(v) for v in coords]
-        ijk = [
-            sum(c[i] * self._to_ijk[i][j] for i in range(4)) for j in range(4)
-        ]
-        return self.alg.quat(*ijk)
+    @property
+    def lattice(self) -> "Lattice4":
+        """The order as a Lattice4 in its own frame.
+
+        Built on access rather than stored, so an order and its lattice form
+        no reference cycle and a discarded order is freed at once.
+        """
+        return Lattice4(self, *self._frame_hnf)
+
+    def quat_from_frame(self, coords, den: int = 1) -> Quat:
+        """The element with frame coordinates coords / den.
+
+        Integer coords take the integer path directly; rational ones are put
+        over one denominator first.
+        """
+        if any(type(v) is not int for v in coords):
+            coords, d = over_one_den(coords)
+            den *= d
+        return Quat(self.alg, _vecmat(coords, self._t_cols), den * self._t_den)
+
+    def _frame_num(self, x: Quat) -> tuple[tuple[int, ...], int]:
+        """Frame coordinates of x as integer numerators over one denominator."""
+        return _vecmat(x.num, self._f_cols), x.den * self._f_den
 
     def frame_coords(self, x: Quat) -> FracRow:
-        v = x.coords()
-        return tuple(
-            sum(v[i] * self._from_ijk[i][j] for i in range(4)) for j in range(4)
-        )
+        num, den = self._frame_num(x)
+        return tuple(Fraction(v, den) for v in num)
 
     def lattice_from_quats(self, quats: list[Quat]) -> "Lattice4":
-        rows = [[Fraction(v) for v in self.frame_coords(q)] for q in quats]
-        mat, den = _canonical_rows(rows)
+        pairs = [self._frame_num(q) for q in quats]
+        den = lcm(*(d for _, d in pairs))
+        mat, den = _canonical_int([[v * (den // d) for v in num] for num, d in pairs], den)
         return Lattice4(self, mat, den)
 
     def lattice_from_frame_rows(self, rows) -> "Lattice4":
-        mat, den = _canonical_rows([[Fraction(v) for v in row] for row in rows])
+        mat, den = _canonical_rows(rows)
         return Lattice4(self, mat, den)
 
     def contains(self, x: Quat) -> bool:
@@ -198,27 +247,25 @@ class Lattice4:
     den: int
 
     def basis_quats(self) -> list[Quat]:
-        return [
-            self.order.quat_from_frame([Fraction(v, self.den) for v in row])
-            for row in self.mat
-        ]
+        qf = self.order.quat_from_frame
+        return [qf(row, self.den) for row in self.mat]
 
     def det_frame(self) -> Fraction:
-        return Fraction(abs(intmat.det([list(r) for r in self.mat])), self.den**4)
+        return Fraction(prod(self.mat[i][i] for i in range(4)), self.den**4)
 
     def contains_coords(self, coords) -> bool:
-        vec = [Fraction(v) * self.den for v in coords]
-        c = intmat.solve_left_frac([list(r) for r in self.mat], vec)
-        return all(v.denominator == 1 for v in c)
+        return self._contains(*over_one_den(coords))
+
+    def _contains(self, num, d: int) -> bool:
+        """Whether the frame coordinates num / d (integers) lie in the lattice."""
+        den = self.den
+        return _solve_int(self.mat, [v * den for v in num], d) is not None
 
     def contains_quat(self, x: Quat) -> bool:
-        return self.contains_coords(self.order.frame_coords(x))
+        return self._contains(*self.order._frame_num(x))
 
     def is_sublattice_of(self, other: "Lattice4") -> bool:
-        return all(
-            other.contains_coords([Fraction(v, self.den) for v in row])
-            for row in self.mat
-        )
+        return all(other._contains(row, self.den) for row in self.mat)
 
     def index_in(self, other: "Lattice4") -> int:
         """[other : self] for self contained in other."""
@@ -274,17 +321,12 @@ class Lattice4:
 
     def invariant_factors_in(self, other: "Lattice4") -> InvariantFactors:
         """Invariant factors of self inside other (self must be contained)."""
-        inv = intmat.inverse_frac([list(r) for r in other.mat])
         rows = []
         for row in self.mat:
-            vals = [
-                sum(Fraction(row[i], self.den) * inv[i][j] for i in range(4))
-                * other.den
-                for j in range(4)
-            ]
-            if any(v.denominator != 1 for v in vals):
+            c = _solve_int(other.mat, [v * other.den for v in row], self.den)
+            if c is None:
                 raise ContainmentError("not a sublattice")
-            rows.append([int(v) for v in vals])
+            rows.append(c)
         d, _, _ = intmat.snf_with_transforms(rows)
         a = tuple(d[i][i] for i in range(4))
         idx = a[0] * a[1] * a[2] * a[3]
@@ -306,47 +348,38 @@ class Lattice4:
 
     def reduced_discriminant(self):
         """Square root of |det trd(b_i conj(b_j))|; equals d * level for orders."""
-        return _raw_reduced_discriminant(self.basis_quats())
+        order = self.order
+        rows = [_vecmat(row, order._t_cols) for row in self.mat]
+        return _raw_reduced_discriminant(order.alg, rows, self.den * order._t_den)
 
     def conjugate_by(self, g: Quat) -> "Lattice4":
-        """The lattice g * self * g^-1."""
-        if g.nrd() == 0:
+        """The lattice g * self * g^-1.
+
+        Computed as g x conj(g) / nrd(g) on integer numerators: with
+        g = G / e the denominators of g cancel, leaving G x conj(G) / nrd(G).
+        """
+        order = self.order
+        alg = order.alg
+        if g.alg != alg:
+            raise UsageError("conjugator lives in a different algebra")
+        p, q = alg.p, alg.q
+        gn = g.num
+        n = norm_num(gn, p, q)
+        if n == 0:
             raise UsageError("conjugator must be invertible")
-        gi = g.inverse()
-        return self.order.lattice_from_quats([g * b * gi for b in self.basis_quats()])
+        gc = (gn[0], -gn[1], -gn[2], -gn[3])
+        t_cols, f_cols = order._t_cols, order._f_cols
+        rows = [
+            _vecmat(mul_num(mul_num(gn, _vecmat(row, t_cols), p, q), gc, p, q), f_cols)
+            for row in self.mat
+        ]
+        mat, den = _canonical_int(rows, self.den * order._t_den * order._f_den * n)
+        return Lattice4(order, mat, den)
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases and constructions
+# constructions
 # ---------------------------------------------------------------------------
-
-
-def level(lat: Lattice4) -> int:
-    return lat.level()
-
-
-def shape(lat: Lattice4) -> Shape:
-    return lat.shape()
-
-
-def invariant_factors(sub: Lattice4, sup: Lattice4) -> InvariantFactors:
-    return sub.invariant_factors_in(sup)
-
-
-def is_balanced(lat: Lattice4) -> bool:
-    return lat.is_balanced()
-
-
-def is_order(lat: Lattice4) -> bool:
-    return lat.is_order()
-
-
-def reduced_discriminant(lat: Lattice4):
-    return lat.reduced_discriminant()
-
-
-def conjugate_lattice(lat: Lattice4, g: Quat) -> Lattice4:
-    return lat.conjugate_by(g)
 
 
 def lattice_sum(a: Lattice4, b: Lattice4) -> Lattice4:
@@ -357,15 +390,9 @@ def lattice_sum(a: Lattice4, b: Lattice4) -> Lattice4:
 
 def lattice_product(a: Lattice4, b: Lattice4) -> Lattice4:
     """Lattice spanned by all products x*y of basis elements."""
-    quats = [x * y for x in a.basis_quats() for y in b.basis_quats()]
-    rows = [[Fraction(v) for v in a.order.frame_coords(q)] for q in quats]
-    return a.order.lattice_from_frame_rows(rows)
-
-
-def lattice_scale(a: Lattice4, s) -> Lattice4:
-    s = Fraction(s)
-    rows = [[Fraction(v, a.den) * s for v in row] for row in a.mat]
-    return a.order.lattice_from_frame_rows(rows)
+    return a.order.lattice_from_quats(
+        [x * y for x in a.basis_quats() for y in b.basis_quats()]
+    )
 
 
 def intersect(a: Lattice4, b: Lattice4) -> Lattice4:
@@ -461,27 +488,21 @@ def saturate_to_maximal(alg: QuatAlg, ijk_rows) -> MaximalOrder:
     adjunction keeps multiplicative closure; each success divides the
     discriminant by p, so the loop terminates at the algebra discriminant.
     """
-    rows = [[Fraction(v) for v in row] for row in ijk_rows]
-    mat, den = _ijk_canonical(rows)
+    mat, den = _canonical_rows(ijk_rows)
     if not _raw_is_order(alg, mat, den):
         raise UsageError("input is not an order")
     target = alg.discriminant
     while True:
-        quats = [alg.quat(*(Fraction(v, den) for v in row)) for row in mat]
-        disc = _raw_reduced_discriminant(quats)
+        disc = _raw_reduced_discriminant(alg, mat, den)
         if disc == target:
             return MaximalOrder(alg, [[Fraction(v, den) for v in row] for row in mat])
         excess = disc // target
-        grown = False
         for p in factorize(excess):
-            cand = _find_integral_extension(alg, mat, den, p)
-            if cand is not None:
-                mat, den = _ijk_canonical(
-                    [[Fraction(v, den) for v in row] for row in mat] + [list(cand)]
-                )
-                grown = True
+            grown = _find_integral_extension(alg, mat, den, p)
+            if grown is not None:
+                mat, den = grown
                 break
-        if not grown:
+        else:
             raise TheoremViolation(
                 f"discriminant {disc} exceeds {target} but no integral extension found"
             )
@@ -489,12 +510,7 @@ def saturate_to_maximal(alg: QuatAlg, ijk_rows) -> MaximalOrder:
 
 def default_maximal_order(alg: QuatAlg) -> MaximalOrder:
     """Maximal order grown from the obvious integral basis (1, I, J, IJ)."""
-    rows = [
-        [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-    ]
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     return saturate_to_maximal(alg, rows)
 
 
@@ -511,10 +527,9 @@ def eichler_order(mo: MaximalOrder, n: int, height_cap: int = 512) -> tuple[Latt
     h = max(2, isqrt(n) // 2)
     while h <= height_cap:
         for g in norm_elements(mo.lattice, n, h):
-            key = tuple(mo.frame_coords(g))
-            if key in seen:
+            if g in seen:
                 continue
-            seen.add(key)
+            seen.add(g)
             cand = intersect(mo.lattice, mo.lattice.conjugate_by(g.inverse()))
             if cand.level() == n:
                 return cand, g
@@ -548,10 +563,19 @@ def traceless_slices(lat: Lattice4, height: int):
     p00, p01, p02 = proj[0]
     p11, p12 = proj[1][1], proj[1][2]
     p22 = proj[2][2]
+    # the scalar residue is additive along the projection basis, modulo the
+    # smallest positive scalar s0 of den * lat (s0 = den once lat holds no
+    # scalar finer than Z)
+    s0 = next(s for s in range(1, den + 1) if _solve_int(mat, (s, 0, 0, 0)) is not None)
+    r0, r1, r2 = (_scalar_residue(mat, s0, row) for row in proj)
+    # qs = w S w^T / 2 for the trace-zero Gram S, whose diagonal is even
+    (s00, s01, s02), (_, s11, s12), (_, _, s22) = lat.order.gram0
+    h00, h11, h22 = s00 // 2, s11 // 2, s22 // 2
     c1_max = bound // p00
     for c1 in range(-c1_max, c1_max + 1):
         w0 = c1 * p00
         base1 = c1 * p01
+        q0 = h00 * w0 * w0
         # second coordinate: base1 + c2 * p11 in [-bound, bound]
         lo = -(bound + base1)
         c2_lo = -((-lo) // p11) if lo < 0 else (lo + p11 - 1) // p11
@@ -559,34 +583,26 @@ def traceless_slices(lat: Lattice4, height: int):
         for c2 in range(c2_lo, c2_hi + 1):
             w1 = base1 + c2 * p11
             base2 = c1 * p02 + c2 * p12
+            res2 = c1 * r0 + c2 * r1
+            q01 = q0 + h11 * w1 * w1 + s01 * w0 * w1
             lo2 = -(bound + base2)
             c3_lo = -((-lo2) // p22) if lo2 < 0 else (lo2 + p22 - 1) // p22
             c3_hi = (bound - base2) // p22
             for c3 in range(c3_lo, c3_hi + 1):
                 w2 = base2 + c3 * p22
-                w = (w0, w1, w2)
-                j = _scalar_residue(mat, den, w)
-                qs = lat.order.norm_form_scaled(w)
-                yield w, j, qs
+                qs = q01 + (h22 * w2 + s02 * w0 + s12 * w1) * w2
+                yield (w0, w1, w2), (res2 + c3 * r2) % s0, qs
 
 
-def _scalar_residue(mat, den, w) -> int:
-    """Residue j with (j/den + Z, w/den) inside the lattice; asserts existence."""
-    for j in range(den):
-        if _solves_int(mat, (j, w[0], w[1], w[2])):
+def _scalar_residue(mat, step, w) -> int:
+    """Least j >= 0 with (j, w) in the row span of mat; asserts existence.
+
+    step is the smallest positive scalar in the span, so j < step.
+    """
+    for j in range(step):
+        if _solve_int(mat, (j, w[0], w[1], w[2])) is not None:
             return j
     raise TheoremViolation("projection point lost its scalar completion")
-
-
-def _solves_int(mat, target) -> bool:
-    c = [0, 0, 0, 0]
-    for col in range(4):
-        s = target[col] - sum(c[i] * mat[i][col] for i in range(col))
-        piv = mat[col][col]
-        if s % piv:
-            return False
-        c[col] = s // piv
-    return True
 
 
 def norm_elements(lat: Lattice4, m: int, height: int) -> list[Quat]:
@@ -594,82 +610,82 @@ def norm_elements(lat: Lattice4, m: int, height: int) -> list[Quat]:
 
     Deterministic: output sorted by coordinate tuple.  The scan walks the
     trace-zero projection and completes each slice by an exact integer
-    square root, so only genuine lattice points are ever touched.
+    square root, so only genuine lattice points are ever touched; the sort
+    runs on den-scaled integer tuples, which order like the frame
+    coordinates themselves.
     """
     den = lat.den
-    out = []
     dd = den * den
+    h_max = height * den
+    keys = []
     for w, j, qs in traceless_slices(lat, height):
         rhs = dd * m - qs
         if rhs < 0:
             continue
         h = isqrt(rhs)
-        if h * h != rhs or h > height * den:
+        if h * h != rhs or h > h_max:
             continue
-        if h % den != j % den and (-h) % den != j % den:
-            continue
-        scalars = {h, -h} if (h % den == j % den and (-h) % den == j % den) else (
-            {h} if h % den == j % den else {-h}
-        )
-        for hh in sorted(scalars):
-            coords = (Fraction(hh, den), Fraction(w[0], den), Fraction(w[1], den), Fraction(w[2], den))
-            out.append(lat.order.quat_from_frame(coords))
-    out.sort(key=lambda q: lat.order.frame_coords(q))
-    return out
+        for hh in ((-h, h) if h else (0,)):
+            if hh % den == j:
+                keys.append((hh, *w))
+    keys.sort()
+    qf = lat.order.quat_from_frame
+    return [qf(k, den) for k in keys]
 
 
 # ---------------------------------------------------------------------------
-# raw helpers on (1, I, J, IJ) coordinate rows, used before a frame exists
+# raw helpers on integer (1, I, J, IJ) rows over one denominator, used before
+# a frame exists
 # ---------------------------------------------------------------------------
-
-
-def _ijk_canonical(rows):
-    mat, den = _canonical_rows([[Fraction(v) for v in row] for row in rows])
-    return mat, den
-
-
-def _raw_contains(mat, den, coords) -> bool:
-    vec = [Fraction(v) * den for v in coords]
-    c = intmat.solve_left_frac([list(r) for r in mat], vec)
-    return all(v.denominator == 1 for v in c)
 
 
 def _raw_is_order(alg: QuatAlg, mat, den) -> bool:
-    if not _raw_contains(mat, den, (1, 0, 0, 0)):
+    """Whether span(mat) / den holds 1 and is closed under multiplication."""
+    if _solve_int(mat, (den, 0, 0, 0)) is None:
         return False
-    quats = [alg.quat(*(Fraction(v, den) for v in row)) for row in mat]
+    p, q = alg.p, alg.q
+    # x = X / den, y = Y / den: x * y = X * Y / den^2 lies in span(mat) / den
     return all(
-        _raw_contains(mat, den, (x * y).coords()) for x in quats for y in quats
+        _solve_int(mat, mul_num(x, y, p, q), den) is not None for x in mat for y in mat
     )
 
 
-def _raw_reduced_discriminant(basis: list[Quat]):
-    G = [[(x * y.conj()).trd() for y in basis] for x in basis]
-    d = intmat.det(G)
-    num, dn = abs(d.numerator), d.denominator
-    rn, rd = isqrt(num), isqrt(dn)
-    if rn * rn != num or rd * rd != dn:
+def _raw_reduced_discriminant(alg: QuatAlg, rows, den):
+    """Square root of |det trd(x_i conj(x_j))| for the basis rows / den."""
+    p, q = alg.p, alg.q
+    G = [
+        [2 * (x[0] * y[0] - p * x[1] * y[1] - q * x[2] * y[2] + p * q * x[3] * y[3]) for y in rows]
+        for x in rows
+    ]
+    d = abs(intmat.det(G))
+    r = isqrt(d)
+    if r * r != d:
         raise TheoremViolation("trace form determinant is not a perfect square")
-    val = Fraction(rn, rd)
+    val = Fraction(r, den**4)
     return int(val) if val.denominator == 1 else val
 
 
 def _find_integral_extension(alg: QuatAlg, mat, den, p: int):
-    """First (1/p)-combination that stays integral and keeps an order closed."""
-    quats = [alg.quat(*(Fraction(v, den) for v in row)) for row in mat]
-    base_rows = [[Fraction(v, den) for v in row] for row in mat]
+    """First (1/p)-combination that stays integral and keeps an order closed.
+
+    Returns the canonical (mat, den) of the grown order, or None.
+    """
+    dp = den * p
+    scaled = [[v * p for v in row] for row in mat]
+    cols = tuple(zip(*mat))
     for c0 in range(p):
         for c1 in range(p):
             for c2 in range(p):
                 for c3 in range(p):
                     if not (c0 or c1 or c2 or c3):
                         continue
-                    x = (c0 * quats[0] + c1 * quats[1] + c2 * quats[2] + c3 * quats[3]) * Fraction(1, p)
-                    if x.trd().denominator != 1 or x.nrd().denominator != 1:
+                    # x = X / (den * p), the combination of the rows over p
+                    x = _vecmat((c0, c1, c2, c3), cols)
+                    if (2 * x[0]) % dp or norm_num(x, alg.p, alg.q) % (dp * dp):
                         continue
-                    if _raw_contains(mat, den, x.coords()):
+                    if _solve_int(mat, x, p) is not None:
                         continue
-                    nmat, nden = _ijk_canonical(base_rows + [list(x.coords())])
+                    nmat, nden = _canonical_int(scaled + [list(x)], dp)
                     if _raw_is_order(alg, nmat, nden):
-                        return x.coords()
+                        return nmat, nden
     return None

@@ -1,8 +1,9 @@
 """Indefinite rational quaternion algebras with exact coordinate arithmetic.
 
 An algebra is generated over Q by I, J with I*I = p > 0, J*J = q < 0 and
-IJ = -JI.  Elements carry exact Fraction coordinates with respect to the
-basis (1, I, J, IJ); floating point enters only at the geometry boundary
+IJ = -JI.  Elements carry exact coordinates with respect to the basis
+(1, I, J, IJ), as integer numerators over one denominator; Fractions appear
+only at the API boundary, and floating point only at the geometry boundary
 (the 2x2 real embedding and the point-pair invariant on the upper half
 plane).
 """
@@ -13,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
 
 from .arith import factorize, is_squarefree
 from .errors import TheoremViolation, UsageError
@@ -104,7 +105,8 @@ class QuatAlg:
         return d
 
     def quat(self, a: Rat, b: Rat = 0, c: Rat = 0, d: Rat = 0) -> "Quat":
-        return Quat(self, Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        num, den = over_one_den((a, b, c, d))
+        return Quat(self, num, den)
 
     def one(self) -> "Quat":
         return self.quat(1)
@@ -119,49 +121,95 @@ class QuatAlg:
         return self.quat(0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class Quat:
-    """Element a + b*I + c*J + d*IJ of a fixed QuatAlg, exact coordinates."""
+def over_one_den(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over their least common positive denominator."""
+    if all(type(v) is int for v in values):
+        return tuple(values), 1
+    fr = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in fr))
+    return tuple(v.numerator * (den // v.denominator) for v in fr), den
 
-    alg: QuatAlg
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+
+def norm_num(n, p: int, q: int) -> int:
+    """Reduced norm of the (1, I, J, IJ) coordinate tuple n, in integers."""
+    a, b, c, d = n
+    return a * a - p * b * b - q * c * c + p * q * d * d
+
+
+def mul_num(x, y, p: int, q: int) -> tuple[int, int, int, int]:
+    """Product of two (1, I, J, IJ) coordinate tuples in the algebra (p, q)."""
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (
+        a0 * b0 + p * a1 * b1 + q * a2 * b2 - p * q * a3 * b3,
+        a0 * b1 + a1 * b0 - q * a2 * b3 + q * a3 * b2,
+        a0 * b2 + a2 * b0 + p * a1 * b3 - p * a3 * b1,
+        a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
+    )
+
+
+class Quat:
+    """Element (n0 + n1*I + n2*J + n3*IJ) / den of a fixed QuatAlg.
+
+    num holds four integers over one positive denominator den, reduced so
+    that gcd(num, den) = 1; equal elements therefore have equal fields.  All
+    arithmetic stays in integers, and coords() gives Fractions at the API
+    boundary.  Instances are treated as immutable.
+    """
+
+    __slots__ = ("alg", "num", "den")
+
+    def __init__(self, alg: QuatAlg, num, den: int = 1):
+        if den <= 0:
+            if den == 0:
+                raise UsageError("quaternion denominator must be nonzero")
+            num, den = tuple(-v for v in num), -den
+        g = gcd(*num, den)
+        if g != 1:
+            num, den = tuple(v // g for v in num), den // g
+        self.alg = alg
+        self.num = tuple(num)
+        self.den = den
 
     def coords(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+        d = self.den
+        return tuple(Fraction(v, d) for v in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, Quat):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den and self.alg == other.alg
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"Quat({self.alg.p}, {self.alg.q}; {self.num} / {self.den})"
+
+    def _add(self, other: "Quat", sign: int) -> "Quat":
+        self._same_parent(other)
+        d, e = self.den, other.den
+        return Quat(
+            self.alg, tuple(x * e + sign * y * d for x, y in zip(self.num, other.num)), d * e
+        )
 
     def __add__(self, other: "Quat") -> "Quat":
-        self._same_parent(other)
-        return Quat(
-            self.alg, self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d
-        )
+        return self._add(other, 1)
 
     def __sub__(self, other: "Quat") -> "Quat":
-        self._same_parent(other)
-        return Quat(
-            self.alg, self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d
-        )
+        return self._add(other, -1)
 
     def __neg__(self) -> "Quat":
-        return Quat(self.alg, -self.a, -self.b, -self.c, -self.d)
+        return Quat(self.alg, tuple(-v for v in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return Quat(self.alg, self.a * f, self.b * f, self.c * f, self.d * f)
+            num = tuple(v * f.numerator for v in self.num)
+            return Quat(self.alg, num, self.den * f.denominator)
         self._same_parent(other)
-        p, q = self.alg.p, self.alg.q
-        a0, a1, a2, a3 = self.coords()
-        b0, b1, b2, b3 = other.coords()
-        return Quat(
-            self.alg,
-            a0 * b0 + p * a1 * b1 + q * a2 * b2 - p * q * a3 * b3,
-            a0 * b1 + a1 * b0 - q * a2 * b3 + q * a3 * b2,
-            a0 * b2 + a2 * b0 + p * a1 * b3 - p * a3 * b1,
-            a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
-        )
+        alg = self.alg
+        return Quat(alg, mul_num(self.num, other.num, alg.p, alg.q), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -169,27 +217,28 @@ class Quat:
         return NotImplemented
 
     def conj(self) -> "Quat":
-        return Quat(self.alg, self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self.num
+        return Quat(self.alg, (a, -b, -c, -d), self.den)
 
     def nrd(self) -> Fraction:
-        p, q = self.alg.p, self.alg.q
-        a, b, c, d = self.coords()
-        return a * a - p * b * b - q * c * c + p * q * d * d
+        return Fraction(norm_num(self.num, self.alg.p, self.alg.q), self.den * self.den)
 
     def trd(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.num[0], self.den)
 
     def inverse(self) -> "Quat":
-        n = self.nrd()
+        n = norm_num(self.num, self.alg.p, self.alg.q)
         if n == 0:
             raise UsageError("zero element has no inverse")
-        return self.conj() * (1 / n)
+        a, b, c, d = self.num
+        e = self.den
+        return Quat(self.alg, (a * e, -b * e, -c * e, -d * e), n)
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return not any(self.num)
 
     def _same_parent(self, other: "Quat") -> None:
-        if self.alg != other.alg:
+        if self.alg is not other.alg and self.alg != other.alg:
             raise UsageError("elements live in different algebras")
 
 
@@ -237,7 +286,8 @@ def iota_inf(alpha: Quat) -> tuple[tuple[float, float], tuple[float, float]]:
     """
     sp = math.sqrt(alpha.alg.p)
     q = alpha.alg.q
-    a, b, c, d = (float(v) for v in alpha.coords())
+    den = alpha.den
+    a, b, c, d = (v / den for v in alpha.num)
     return ((a + b * sp, c * q + d * q * sp), (c - d * sp, a - b * sp))
 
 
@@ -396,27 +446,3 @@ def falsify_box_constant(
             if ratio > 1.0:
                 witness = (z, coords)
     return worst, witness
-
-
-def nrd_zero_search(alg: QuatAlg, height: int):
-    """Exhaustive search for a nonzero integral quadruple of reduced norm 0.
-
-    Returns the first counterexample (there must be none for a division
-    algebra) or None.  Covers all quadruples with coordinates bounded by
-    height in absolute value, which settles the rational question at that
-    height since the norm form is homogeneous.
-    """
-    p, q = alg.p, alg.q
-    for b in range(-height, height + 1):
-        for c in range(-height, height + 1):
-            for d in range(-height, height + 1):
-                rhs = p * b * b + q * c * c - p * q * d * d
-                if rhs < 0:
-                    continue
-                r = isqrt(rhs)
-                if r * r != rhs or r > height:
-                    continue
-                if r == 0 and b == 0 and c == 0 and d == 0:
-                    continue
-                return (r, b, c, d)
-    return None

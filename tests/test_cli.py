@@ -234,3 +234,73 @@ def test_out_file_is_only_written_on_success(tmp_path):
     code = main(["exponent", "--n", "x^2", "--out", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+MALFORMED = [
+    # (label, argv, config JSON or None, QUATLAT_THREADS or None)
+    ("amp-lambda-not-rational", ["amp", "--lambda", "abc"], None, None),
+    ("amp-lambda-zero-denominator", ["amp", "--lambda", "1/0"], None, None),
+    ("lmax-not-integer", ["count"], {"sweep": {"l_max": "x"}}, None),
+    ("lmax-fractional", ["count"], {"sweep": {"l_max": 2.5}}, None),
+    ("lmax-boolean", ["count"], {"sweep": {"l_max": True}}, None),
+    ("samples-not-integer", ["count"], {"sweep": {"samples": [2]}}, None),
+    ("sweep-not-object", ["count"], {"sweep": 3}, None),
+    ("threads-config-not-integer", ["count"], {"threads": "two"}, None),
+    ("threads-env-not-integer", ["count"], None, "four"),
+    ("algebra-short-list", ["algebra"], {"algebra": [3]}, None),
+    ("algebra-entry-not-integer", ["algebra"], {"algebra": ["x", -1]}, None),
+    ("algebra-missing-key", ["algebra"], {"algebra": {"p": 3}}, None),
+    ("config-not-object", ["algebra"], [3, -1], None),
+    ("z-box-not-list", ["count"], {"z_box": "wide"}, None),
+    ("delta-not-rational", ["count"], {"delta": "small"}, None),
+    ("order-mat-not-list", ["order"], {"order": {"mat": 7}}, None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config,threads_env", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+)
+def test_malformed_inputs_exit_1_without_traceback(
+    tmp_path, capsys, monkeypatch, argv, config, threads_env
+):
+    argv = list(argv)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    if threads_env is None:
+        monkeypatch.delenv("QUATLAT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("QUATLAT_THREADS", threads_env)
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    code = main(["exponent", "--n", "2^4", "--out", str(tmp_path / "missing" / "x.txt")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_coprime_non_integer_line_is_usage_error(tmp_path):
+    infile = tmp_path / "problems.txt"
+    infile.write_text("a,b;6\n")
+    code, _ = run_cli(["coprime", "--in", str(infile)], tmp_path)
+    assert code == 1
+
+
+def test_algebra_accepts_list_and_object_forms(tmp_path):
+    texts = []
+    for i, form in enumerate(([3, -1], {"p": 3, "q": -1})):
+        cfg = tmp_path / f"alg{i}.json"
+        cfg.write_text(json.dumps({"algebra": form}))
+        code, text = run_cli(["algebra", "--config", str(cfg)], tmp_path, f"alg{i}.txt")
+        assert code == 0
+        texts.append(text)
+    assert texts[0] == texts[1]
+    assert "algebra: (3, -1)" in texts[0]

@@ -1,0 +1,153 @@
+"""Differential tests of the integer quaternion kernel against Fractions.
+
+Every expected value here comes from a Fraction formula written out in this
+file, so the integer numerator arithmetic in quatlat.quat and the integer
+frame maps in quatlat.lattice are checked against an independent path.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quatlat import (
+    Quat,
+    intmat,
+    norm_elements,
+    traceless_slices,
+    z_plus_f_order,
+    z_plus_zw_order,
+)
+
+from oracles import naive_norm_elements, row_span_equal
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+quads = st.tuples(rationals, rationals, rationals, rationals)
+FEW = settings(max_examples=60, deadline=None)
+
+
+def frac_mul(x, y, p, q):
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y
+    return (
+        a0 * b0 + p * a1 * b1 + q * a2 * b2 - p * q * a3 * b3,
+        a0 * b1 + a1 * b0 - q * a2 * b3 + q * a3 * b2,
+        a0 * b2 + a2 * b0 + p * a1 * b3 - p * a3 * b1,
+        a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
+    )
+
+
+def frac_conj(x):
+    return (x[0], -x[1], -x[2], -x[3])
+
+
+def frac_nrd(x, p, q):
+    a, b, c, d = x
+    return a * a - p * b * b - q * c * c + p * q * d * d
+
+
+def frac_inverse(x, p, q):
+    n = frac_nrd(x, p, q)
+    return tuple(v / n for v in frac_conj(x))
+
+
+def vec_mat(v, rows):
+    return tuple(sum(v[i] * rows[i][j] for i in range(4)) for j in range(4))
+
+
+def lattices(mo):
+    half = Fraction(1, 2)
+    return [
+        mo.lattice,
+        z_plus_f_order(mo, 2),
+        z_plus_f_order(mo, 3),
+        z_plus_zw_order(mo, mo.i_basis[0], 5),
+        # a projection basis vector other than the first needs scalar 1/2
+        mo.lattice_from_frame_rows(
+            [[1, 0, 0, 0], [half, 0, half, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        ),
+    ]
+
+
+@FEW
+@given(quads, quads)
+def test_products_norms_conjugates_match_fractions(alg, x, y):
+    p, q = alg.p, alg.q
+    qx, qy = alg.quat(*x), alg.quat(*y)
+    assert qx.coords() == x
+    assert (qx * qy).coords() == frac_mul(x, y, p, q)
+    assert (qx + qy).coords() == tuple(a + b for a, b in zip(x, y))
+    assert (qx - qy).coords() == tuple(a - b for a, b in zip(x, y))
+    assert qx.conj().coords() == frac_conj(x)
+    assert qx.nrd() == frac_nrd(x, p, q)
+    assert qx.trd() == 2 * x[0]
+    assert (qx * Fraction(2, 3)).coords() == tuple(v * Fraction(2, 3) for v in x)
+    if any(x):
+        assert qx.inverse().coords() == frac_inverse(x, p, q)
+    # the stored form is reduced, so equal values compare and hash equal
+    scaled = Quat(alg, tuple(-6 * v for v in qx.num), -6 * qx.den)
+    assert scaled == qx and hash(scaled) == hash(qx)
+
+
+@FEW
+@given(quads)
+def test_frame_round_trip(mo, x):
+    qx = mo.alg.quat(*x)
+    frame = mo.frame_coords(qx)
+    assert frame == vec_mat(x, mo._from_ijk)
+    assert mo.quat_from_frame(frame) == qx
+    assert mo.quat_from_frame(frame).coords() == vec_mat(frame, mo.basis)
+
+
+@FEW
+@given(st.integers(0, 4), quads)
+def test_contains_coords_matches_fraction_solve(mo, pick, coords):
+    lat = lattices(mo)[pick]
+    vec = [v * lat.den for v in coords]
+    c = intmat.solve_left_frac([list(r) for r in lat.mat], vec)
+    assert lat.contains_coords(coords) == all(v.denominator == 1 for v in c)
+    # lattice points themselves: an integer combination of the basis rows
+    ints = [int(v * 6) for v in coords]
+    point = vec_mat(ints, [[Fraction(v, lat.den) for v in r] for r in lat.mat])
+    assert lat.contains_coords(point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 3), quads)
+def test_conjugate_by_matches_fraction_conjugation(mo, pick, g):
+    p, q = mo.alg.p, mo.alg.q
+    if frac_nrd(g, p, q) == 0:
+        return
+    lat = lattices(mo)[pick]
+    got = lat.conjugate_by(mo.alg.quat(*g))
+    g_inv = frac_inverse(g, p, q)
+    rows = []
+    for row in lat.mat:
+        b = vec_mat([Fraction(v, lat.den) for v in row], mo.basis)
+        conj = frac_mul(frac_mul(g, b, p, q), g_inv, p, q)
+        rows.append(vec_mat(conj, mo._from_ijk))
+    den = lcm(got.den, *(v.denominator for row in rows for v in row))
+    want_int = [[int(v * den) for v in row] for row in rows]
+    got_int = [[v * (den // got.den) for v in row] for row in got.mat]
+    assert row_span_equal(want_int, got_int)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([0, 1, 2, 4]), st.integers(-2, 8), st.integers(1, 2))
+def test_norm_elements_order_matches_naive(mo, pick, m, height):
+    lat = lattices(mo)[pick]
+    got = [mo.frame_coords(x) for x in norm_elements(lat, m, height)]
+    assert got == naive_norm_elements(lat, m, height)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 4))
+def test_slice_residues_are_the_least_completions(mo, pick):
+    lat = lattices(mo)[pick]
+    den = lat.den
+    for w, j, qs in traceless_slices(lat, 1):
+        v = [Fraction(c, den) for c in w]
+        assert lat.contains_coords([Fraction(j, den)] + v)
+        assert not any(lat.contains_coords([Fraction(i, den)] + v) for i in range(j))
+        assert qs == den * den * frac_nrd([0] + v, mo.alg.p, mo.alg.q)
