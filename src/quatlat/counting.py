@@ -26,6 +26,9 @@ from .lattice import Lattice4, Shape, norm_elements, traceless_slices
 from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
 
 U_SLACK = 1e-9
+# widening of delta in the float ball pre-filters; covers U_SLACK and the
+# rounding of the float F_z Gram, so only in_ball decides membership
+PREFILTER_SLACK = 1e-6
 
 
 def in_ball(alpha: Quat, z: UpperHalfPoint, delta: float) -> bool:
@@ -230,17 +233,34 @@ def _count_in_range(c: int, modulus: int, zero_class: bool) -> int:
     return (2 * c) // modulus + 1
 
 
+# they multiply to more than 3,000,000, so the exact search below never
+# reaches past the end of this tuple
+_SEARCH_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
 def _max_divisor_count(c_max: int) -> int:
-    """Largest d(n) for 1 <= n <= c_max; sieved when small, else 2*sqrt."""
+    """Largest d(n) for 1 <= n <= c_max; exact up to 3,000,000, else 2*sqrt.
+
+    Some maximiser is 2^e1 3^e2 5^e3 ... with e1 >= e2 >= ...: moving n's
+    exponents onto the smallest primes in non-increasing order keeps d(n)
+    and does not increase n.  The search walks exactly those products.
+    """
     if c_max < 1:
         return 1
-    if c_max <= 3_000_000:
-        counts = [0] * (c_max + 1)
-        for d in range(1, c_max + 1):
-            for k in range(d, c_max + 1, d):
-                counts[k] += 1
-        return max(counts[1:])
-    return 2 * isqrt(c_max) + 1
+    if c_max > 3_000_000:
+        return 2 * isqrt(c_max) + 1
+
+    def best_from(n: int, d: int, i: int, e_cap: int) -> int:
+        best = d
+        p = _SEARCH_PRIMES[i]
+        e = 0
+        while e < e_cap and n * p <= c_max:
+            n *= p
+            e += 1
+            best = max(best, best_from(n, d * (e + 1), i + 1, e))
+        return best
+
+    return best_from(1, 1, 0, c_max.bit_length())
 
 
 def explicit_bound(
@@ -284,12 +304,17 @@ def enumerate_norm_ball(
 
     The search space is the coordinate box |a_i| <= ceil(t sqrt(m)) walked
     through the lattice's Hermite form; the box constant guarantees no
-    qualifying element lies outside it.
+    qualifying element lies outside it.  The walk is also cut to the
+    ellipsoid F_z(v) <= (4 delta + 2) m (widened by PREFILTER_SLACK) that
+    the trace-zero part v of every such element satisfies, since
+    u(z, alpha z) <= delta reads 2 a0^2 + F_z(v) <= (4 delta + 2) m.
     """
     if m < 1:
         raise UsageError("norm must be positive")
     height = sqrt_ceil_of_product(t.t, m)
-    return [a for a in norm_elements(lat, m, height) if in_ball(a, z, delta)]
+    cap = (4.0 * (delta + PREFILTER_SLACK) + 2.0) * lat.den**2 * m
+    found = norm_elements(lat, m, height, (_fz_gram(lat.order, z), cap))
+    return [a for a in found if in_ball(a, z, delta)]
 
 
 @dataclass(frozen=True)
@@ -325,13 +350,10 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
     den = q.lat.den
     dd = den * den
     order = q.lat.order
-    # F_z(v) = |g_z^-1 iota(v) g_z|^2 is a quadratic form on the trace-zero
-    # frame; its float Gram gives den^2 * F_z(w / den) per slice
-    g = [[e for row in _iota_conj(v, q.z.x, q.z.y) for e in row] for v in order.i_basis]
-    gram = [[sum(a * b for a, b in zip(g[k], g[l])) for l in range(3)] for k in range(3)]
+    gram = _fz_gram(order, q.z)
     f00, f11, f22 = gram[0][0], gram[1][1], gram[2][2]
     f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
-    pre_delta = q.delta + 1e-6
+    pre_delta = q.delta + PREFILTER_SLACK
     c_hi = 4.0 * pre_delta + 2.0
     box_cache: dict[int, int] = {}
     for wv, j, qs in traceless_slices(q.lat, height):
@@ -545,6 +567,16 @@ def reduce_into_box(z: UpperHalfPoint, box: ZBox, mo, height_cap: int = 64):
                 return cand, gamma
         h *= 2
     raise SearchExhausted(f"no unit moved the point into the box at height {height_cap}")
+
+
+def _fz_gram(order, z: UpperHalfPoint) -> list[list[float]]:
+    """Float Gram of F_z(v) = |g_z^-1 iota(v) g_z|^2 on the trace-zero frame.
+
+    F_z is positive definite; for den-scaled coordinates w of v = w / den,
+    w G w^T = den^2 * F_z(v).
+    """
+    g = [[e for row in _iota_conj(v, z.x, z.y) for e in row] for v in order.i_basis]
+    return [[sum(a * b for a, b in zip(g[k], g[l])) for l in range(3)] for k in range(3)]
 
 
 def _iota_conj(v: Quat, x: float, y: float):

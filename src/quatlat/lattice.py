@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import ceil, floor, gcd, isqrt, lcm, prod, sqrt
 
 from . import intmat
 from .arith import factorize
@@ -395,22 +395,32 @@ def lattice_product(a: Lattice4, b: Lattice4) -> Lattice4:
     )
 
 
+def _minor(mat, i: int, j: int):
+    """mat without row i and column j."""
+    return [[v for l, v in enumerate(row) if l != j] for k, row in enumerate(mat) if k != i]
+
+
+def _dual(mat, den: int):
+    """(rows, denominator) of the dual of span(mat) / den under the dot product.
+
+    The dual basis is den * mat^-T = den * C / det(mat), C the cofactor
+    matrix; mat is an upper-triangular Hermite form, so det(mat) is the
+    product of its diagonal.
+    """
+    rows = [[(-1) ** (i + j) * den * intmat.det(_minor(mat, i, j)) for j in range(4)]
+            for i in range(4)]
+    return rows, prod(mat[i][i] for i in range(4))
+
+
 def intersect(a: Lattice4, b: Lattice4) -> Lattice4:
     """Lattice intersection via duality: dual of the sum of the duals."""
     if a.order is not b.order:
         raise UsageError("lattices must share a maximal order")
-
-    def dual_rows(lat: Lattice4):
-        inv = intmat.inverse_frac([list(r) for r in lat.mat])
-        # rows of den * inverse-transpose
-        return [[inv[i][j] * lat.den for i in range(4)] for j in range(4)]
-
-    stacked = dual_rows(a) + dual_rows(b)
-    mat, den = _canonical_rows(stacked)
-    inv = intmat.inverse_frac([list(r) for r in mat])
-    back = [[inv[i][j] * den for i in range(4)] for j in range(4)]
-    mat2, den2 = _canonical_rows(back)
-    return Lattice4(a.order, mat2, den2)
+    (ra, da), (rb, db) = _dual(a.mat, a.den), _dual(b.mat, b.den)
+    d = lcm(da, db)
+    rows = [[v * (d // da) for v in r] for r in ra] + [[v * (d // db) for v in r] for r in rb]
+    mat, den = _canonical_int(*_dual(*_canonical_int(rows, d)))
+    return Lattice4(a.order, mat, den)
 
 
 def z_plus_f_order(mo: MaximalOrder, f: int) -> Lattice4:
@@ -542,7 +552,43 @@ def eichler_order(mo: MaximalOrder, n: int, height_cap: int = 512) -> tuple[Latt
 # ---------------------------------------------------------------------------
 
 
-def traceless_slices(lat: Lattice4, height: int):
+# relative and absolute widening of every float ellipsoid bound: rounding in
+# the completed squares stays far below it, so the pruned walk is a superset
+ELLIPSOID_SLACK = 1e-9
+
+
+def _completed_squares(proj, G) -> tuple[float, ...]:
+    """Coefficients of Q = P G P^T, P the projection basis, as a sum of squares.
+
+    Returns (a1, a2, a3, m21, m31, m32) with
+    Q(c) = a1 c1^2 + a2 (c2 + m21 c1)^2 + a3 (c3 + m31 c1 + m32 c2)^2,
+    completing the square in c3 first, then in c2.
+    """
+    Q = [[sum(pi[k] * G[k][l] * pj[l] for k in range(3) for l in range(3)) for pj in proj]
+         for pi in proj]
+    a3 = Q[2][2]
+    if not a3 > 0:
+        raise UsageError("ellipsoid form must be positive definite")
+    m31, m32 = Q[0][2] / a3, Q[1][2] / a3
+    a2 = Q[1][1] - Q[1][2] * m32
+    if not a2 > 0:
+        raise UsageError("ellipsoid form must be positive definite")
+    m21 = (Q[0][1] - Q[0][2] * m32) / a2
+    a1 = Q[0][0] - Q[0][2] * m31 - a2 * m21 * m21
+    if not a1 > 0:
+        raise UsageError("ellipsoid form must be positive definite")
+    return a1, a2, a3, m21, m31, m32
+
+
+def _clip(lo: int, hi: int, center: float, budget: float, a: float) -> tuple[int, int]:
+    """[lo, hi] cut to the integers c with a (c - center)^2 <= budget, widened."""
+    if budget < 0:
+        return 1, 0
+    r = sqrt(budget / a) * (1.0 + ELLIPSOID_SLACK) + ELLIPSOID_SLACK
+    return max(lo, ceil(center - r)), min(hi, floor(center + r))
+
+
+def traceless_slices(lat: Lattice4, height: int, form=None):
     """Iterate the trace-zero projections of lat up to a coordinate height.
 
     Yields (w, j, qs) where w is the den-scaled integer coordinate triple of
@@ -550,6 +596,13 @@ def traceless_slices(lat: Lattice4, height: int):
     unique residue such that the scalar parts completing v inside lat are
     exactly (j + den * Z) / den, and qs = den^2 * nrd(v).  Requires a lattice
     containing 1 so that the completing set is a full coset of Z.
+
+    form = (G, cap), with G a positive definite 3x3 float Gram on the
+    den-scaled coordinates w, also cuts the walk to the ellipsoid
+    w G w^T <= cap (Fincke-Pohst): each coordinate range is clipped by the
+    completed squares of G in the projection basis, every bound widened by
+    ELLIPSOID_SLACK, so every slice of the box with w G w^T <= cap is still
+    yielded, in the same order.
     """
     if not lat.contains_one():
         raise UsageError("slice enumeration needs a lattice containing 1")
@@ -572,7 +625,13 @@ def traceless_slices(lat: Lattice4, height: int):
     (s00, s01, s02), (_, s11, s12), (_, _, s22) = lat.order.gram0
     h00, h11, h22 = s00 // 2, s11 // 2, s22 // 2
     c1_max = bound // p00
-    for c1 in range(-c1_max, c1_max + 1):
+    c1_lo, c1_hi = -c1_max, c1_max
+    pruned = form is not None
+    if pruned:
+        a1, a2, a3, m21, m31, m32 = _completed_squares(proj, form[0])
+        budget = form[1] * (1.0 + ELLIPSOID_SLACK) + ELLIPSOID_SLACK
+        c1_lo, c1_hi = _clip(c1_lo, c1_hi, 0.0, budget, a1)
+    for c1 in range(c1_lo, c1_hi + 1):
         w0 = c1 * p00
         base1 = c1 * p01
         q0 = h00 * w0 * w0
@@ -580,6 +639,9 @@ def traceless_slices(lat: Lattice4, height: int):
         lo = -(bound + base1)
         c2_lo = -((-lo) // p11) if lo < 0 else (lo + p11 - 1) // p11
         c2_hi = (bound - base1) // p11
+        if pruned:
+            t1 = budget - a1 * c1 * c1
+            c2_lo, c2_hi = _clip(c2_lo, c2_hi, -m21 * c1, t1, a2)
         for c2 in range(c2_lo, c2_hi + 1):
             w1 = base1 + c2 * p11
             base2 = c1 * p02 + c2 * p12
@@ -588,6 +650,10 @@ def traceless_slices(lat: Lattice4, height: int):
             lo2 = -(bound + base2)
             c3_lo = -((-lo2) // p22) if lo2 < 0 else (lo2 + p22 - 1) // p22
             c3_hi = (bound - base2) // p22
+            if pruned:
+                d2 = c2 + m21 * c1
+                c3_lo, c3_hi = _clip(c3_lo, c3_hi, -(m31 * c1 + m32 * c2),
+                                     t1 - a2 * d2 * d2, a3)
             for c3 in range(c3_lo, c3_hi + 1):
                 w2 = base2 + c3 * p22
                 qs = q01 + (h22 * w2 + s02 * w0 + s12 * w1) * w2
@@ -605,8 +671,11 @@ def _scalar_residue(mat, step, w) -> int:
     raise TheoremViolation("projection point lost its scalar completion")
 
 
-def norm_elements(lat: Lattice4, m: int, height: int) -> list[Quat]:
+def norm_elements(lat: Lattice4, m: int, height: int, form=None) -> list[Quat]:
     """All elements of lat with reduced norm m and frame coords <= height.
+
+    form, when given, is passed to traceless_slices and drops elements whose
+    trace-zero part lies outside that ellipsoid.
 
     Deterministic: output sorted by coordinate tuple.  The scan walks the
     trace-zero projection and completes each slice by an exact integer
@@ -618,7 +687,7 @@ def norm_elements(lat: Lattice4, m: int, height: int) -> list[Quat]:
     dd = den * den
     h_max = height * den
     keys = []
-    for w, j, qs in traceless_slices(lat, height):
+    for w, j, qs in traceless_slices(lat, height, form):
         rhs = dd * m - qs
         if rhs < 0:
             continue

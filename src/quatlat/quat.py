@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .arith import factorize, is_squarefree
@@ -87,22 +88,23 @@ class QuatAlg:
         if not ram:
             raise UsageError(f"({self.p},{self.q}) is a matrix algebra, not division")
 
-    def ramified_set(self) -> frozenset[int]:
-        """Finite primes where the algebra ramifies.
-
-        Only primes dividing 2pq can ramify, so the scan is finite.
-        """
+    @cached_property
+    def _ramified(self) -> frozenset[int]:
         cand = set(factorize(2 * self.p * -self.q))
         return frozenset(
             ell for ell in cand if hilbert_symbol(self.p, self.q, ell) == -1
         )
 
-    @property
+    def ramified_set(self) -> frozenset[int]:
+        """Finite primes where the algebra ramifies (computed once per instance).
+
+        Only primes dividing 2pq can ramify, so the scan is finite.
+        """
+        return self._ramified
+
+    @cached_property
     def discriminant(self) -> int:
-        d = 1
-        for ell in self.ramified_set():
-            d *= ell
-        return d
+        return math.prod(self._ramified)
 
     def quat(self, a: Rat, b: Rat = 0, c: Rat = 0, d: Rat = 0) -> "Quat":
         num, den = over_one_den((a, b, c, d))

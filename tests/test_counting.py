@@ -3,13 +3,17 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatlat import (
+    BoxConstant,
     CountQuery,
     UpperHalfPoint,
     ZBox,
     box_constant,
     build_injection,
+    eichler_order,
     enumerate_norm_ball,
     explicit_bound,
     ideal_power_order,
@@ -26,7 +30,8 @@ from quatlat import (
     z_plus_f_order,
     z_plus_zw_order,
 )
-from quatlat.counting import _pair_det
+from quatlat.arith import sqrt_ceil_of_product
+from quatlat.counting import _max_divisor_count, _pair_det
 from quatlat.errors import SearchExhausted, UsageError
 from quatlat.quat import apply_quat
 
@@ -146,8 +151,6 @@ def test_sweep_matches_reference_enumeration(mo):
 
 def test_sweep_against_naive_oracle(mo):
     # small norms, fully brute forced coordinate box
-    from quatlat.arith import sqrt_ceil_of_product
-
     delta = 0.7
     t = frame_bc(mo, delta)
     lat = z_plus_f_order(mo, 2)
@@ -259,3 +262,59 @@ def test_reduce_into_box(mo):
     hopeless = ZBox(90.0, 90.5, 0.001, 0.0011)
     with pytest.raises(SearchExhausted):
         reduce_into_box(UpperHalfPoint(0.0, 1.0), hopeless, mo, height_cap=2)
+
+
+# A box constant of 1 keeps the brute-force boxes small (height ceil(sqrt m));
+# enumerate_norm_ball's contract holds for any t, box and point alike.
+ORACLE_T = 1.0
+ORACLE_NORMS = (1, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def ball_oracle(mo):
+    """Per (lattice, norm): the lattice and its naive norm-m box elements."""
+    lats = [
+        mo.lattice,
+        z_plus_f_order(mo, 3),
+        z_plus_zw_order(mo, mo.i_basis[0], 5),
+        eichler_order(mo, 5)[0],
+    ]
+    return {
+        (k, m): (lat, naive_norm_elements(lat, m, sqrt_ceil_of_product(ORACLE_T, m)))
+        for k, lat in enumerate(lats)
+        for m in ORACLE_NORMS
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.sampled_from(ORACLE_NORMS),
+    st.floats(-0.5, 0.5),
+    st.floats(0.8, 1.2),
+    st.floats(0.01, 2.0),
+)
+@example(2, 4, 2.75, 0.3, 1.5)  # a point far outside the z-box
+@example(3, 3, -1.9, 3.1, 0.6)
+def test_enumerate_norm_ball_matches_naive_oracle(mo, ball_oracle, k, m, x, y, delta):
+    lat, naive = ball_oracle[(k, m)]
+    z = UpperHalfPoint(x, y)
+    got = [mo.frame_coords(a) for a in enumerate_norm_ball(lat, m, z, delta,
+                                                           BoxConstant(delta, ORACLE_T))]
+    want = [c for c in naive if in_ball(mo.quat_from_frame(c), z, delta)]
+    assert got == want
+
+
+def test_max_divisor_count_matches_sieve():
+    top = 5000
+    counts = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for k in range(d, top + 1, d):
+            counts[k] += 1
+    best = 1
+    assert _max_divisor_count(0) == 1
+    for n in range(1, top + 1):
+        best = max(best, counts[n])
+        assert _max_divisor_count(n) == best, n
+    # above the exact range the bound stays the 2*sqrt fallback
+    assert _max_divisor_count(3_000_001) == 2 * isqrt(3_000_001) + 1

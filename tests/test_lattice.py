@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlat import (
     MaximalOrder,
+    UpperHalfPoint,
     QuatAlg,
     eichler_order,
     ideal_power_order,
     intersect,
+    intmat,
     lattice_sum,
     norm_elements,
     saturate_to_maximal,
@@ -17,6 +21,7 @@ from quatlat import (
     z_plus_f_order,
     z_plus_zw_order,
 )
+from quatlat.counting import _fz_gram
 from quatlat.errors import ContainmentError, UsageError
 
 from oracles import naive_norm_elements, sympy_snf_diag
@@ -135,6 +140,38 @@ def test_lattice_sum_and_intersect(mo):
     assert s == mo.lattice
 
 
+def sample_lattices(mo):
+    return [
+        mo.lattice,
+        z_plus_f_order(mo, 2),
+        z_plus_f_order(mo, 3),
+        z_plus_zw_order(mo, mo.i_basis[0], 5),
+        eichler_order(mo, 7)[0],
+        two_sided_prime_ideal(mo, 3),
+    ]
+
+
+small_ints = st.integers(-3, 3)
+int_rows = st.lists(st.tuples(small_ints, small_ints, small_ints, small_ints),
+                    min_size=4, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), int_rows)
+def test_intersect_lies_in_both_and_has_the_sum_index(mo, i, j, rows):
+    lats = sample_lattices(mo)
+    a = lats[i]
+    # b: a random full sublattice of a sample lattice (or the lattice itself)
+    b = lats[j]
+    sub = [[sum(r[k] * b.mat[k][l] for k in range(4)) for l in range(4)] for r in rows]
+    if intmat.det(sub):
+        b = mo.lattice_from_frame_rows([[Fraction(v, b.den) for v in r] for r in sub])
+    meet = intersect(a, b)
+    assert meet.is_sublattice_of(a) and meet.is_sublattice_of(b)
+    # with both containments this pins meet down as the whole intersection
+    assert meet.det_frame() * lattice_sum(a, b).det_frame() == a.det_frame() * b.det_frame()
+
+
 def test_conjugation_by_units_preserves_level_and_shape(mo):
     lat = ideal_power_order(mo, 3, 2)
     n, sh = lat.level(), lat.shape()
@@ -211,6 +248,42 @@ def test_traceless_slices_cover_exactly(mo):
                         brute += 1
                         break
     assert len(seen) == brute
+
+
+def quad(G, w):
+    return sum(w[k] * G[k][l] * w[l] for k in range(3) for l in range(3))
+
+
+# sample_lattices(mo)[5], an ideal, does not contain 1 and has no slices
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(1, 3),
+    st.lists(small_ints, min_size=9, max_size=9),
+    st.integers(0, 300),
+)
+def test_pruned_slices_are_exactly_the_ellipsoid(mo, pick, height, a, cap):
+    # an integer Gram A^T A makes w G w^T exact, so boundary slices count
+    A = [a[0:3], a[3:6], a[6:9]]
+    if intmat.det(A) == 0:
+        A = [[1, 0, 0], [0, 1, 0], [a[0], a[1], 1]]
+    G = [[sum(A[r][k] * A[r][l] for r in range(3)) for l in range(3)] for k in range(3)]
+    lat = sample_lattices(mo)[pick]
+    full = list(traceless_slices(lat, height))
+    pruned = list(traceless_slices(lat, height, ([[float(v) for v in r] for r in G], cap)))
+    assert pruned == [s for s in full if quad(G, s[0]) <= cap]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 4), st.floats(-1.0, 1.0), st.floats(0.5, 2.0), st.floats(1.0, 40.0))
+def test_pruned_slices_keep_every_slice_inside_the_fz_ellipsoid(mo, pick, x, y, cap):
+    G = _fz_gram(mo, UpperHalfPoint(x, y))
+    lat = sample_lattices(mo)[pick]
+    full = list(traceless_slices(lat, 2))
+    pruned = list(traceless_slices(lat, 2, (G, cap)))
+    inside = [s for s in full if quad(G, s[0]) <= cap]
+    assert [s for s in pruned if quad(G, s[0]) <= cap] == inside
+    assert set(pruned) <= set(full)
 
 
 def test_containment_errors(mo):
