@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, factorize, is_squarefree, primes_in_range
+from .arith import divisors, factorize, is_squarefree, primes_in_range, smallest_root_multiple
 from .errors import TheoremViolation, UsageError
 
 @dataclass(frozen=True)
@@ -360,10 +360,7 @@ def _validate_factored(factored) -> dict[int, int]:
 
 def smallest_root_cover(factored) -> int:
     """Smallest N1 with N dividing N1^2: exponents rounded up to halves."""
-    n1 = 1
-    for p, e in factored.items():
-        n1 *= p ** ((e + 1) // 2)
-    return n1
+    return smallest_root_multiple(_value_of(factored), factored)
 
 
 LAMBDA_CHOICES = ("N^(1/3)", "C^(1/4) * N^(1/12) / 2")

@@ -161,9 +161,13 @@ def is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def smallest_root_multiple(n: int) -> int:
-    """Smallest positive N1 with n | N1^2 (so N1 = prod p^ceil(e/2))."""
+def smallest_root_multiple(n: int, factored: dict[int, int] | None = None) -> int:
+    """Smallest positive N1 with n | N1^2 (so N1 = prod p^ceil(e/2)).
+
+    factored, the factorization of n when the caller has it, spares
+    factoring n again.
+    """
     n1 = 1
-    for p, e in factorize(n).items():
+    for p, e in (factorize(n) if factored is None else factored).items():
         n1 *= p ** ((e + 1) // 2)
     return n1

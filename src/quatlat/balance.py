@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import factorize
-from .errors import UsageError
-from .lattice import Lattice4, norm_elements
+from .errors import TheoremViolation, UsageError
+from .lattice import Lattice4, _solve_int, norm_elements
 from .quat import Quat
 
 
@@ -77,8 +77,11 @@ def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
 
     Returns (conjugator, conjugate) or None when the bounded search misses.
     Already-balanced input returns the identity immediately.  Candidates are
-    scanned by increasing norm, then increasing coordinate height, elements
+    scanned by increasing norm n, then increasing coordinate height, elements
     in sorted coordinate order; the first hit in that order is returned.
+    Only the first candidate of each class mod nO is tried: every member of
+    a class gives the same verdict (see _class_key), so the result is the
+    same as trying them all.
     threads is accepted for compatibility and does not change the search:
     the work is pure-Python arithmetic, which threads cannot run in parallel.
     """
@@ -89,22 +92,39 @@ def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
     level = ord_lat.level()
     heights = []
     height = 2
-    while height <= spec.height_max:
+    while height < spec.height_max:
         heights.append(height)
         height *= 2
-    if height // 2 < spec.height_max:
-        heights.append(spec.height_max)  # one final pass exactly at the cap
+    heights.append(spec.height_max)  # one final pass exactly at the cap
     for n in _candidate_norms(sorted(spec.primes), spec.k_max):
         tried = set()
         for height in heights:
             for gamma in norm_elements(mo.lattice, n, height):
-                if gamma in tried:
+                key = _class_key(mo.lattice, gamma, n)
+                if key in tried:
                     continue
-                tried.add(gamma)
+                tried.add(key)
                 conj = _try_conjugator(ord_lat, level, gamma)
                 if conj is not None:
                     return gamma, conj
     return None
+
+
+def _class_key(mo_lat: Lattice4, gamma: Quat, n: int) -> tuple[int, ...]:
+    """Coordinates of gamma in the maximal order's basis, reduced mod n.
+
+    Candidates of norm n with equal keys give the same verdict.  If g' = g
+    mod nO, then g' lies in g + nO = g + O conj(g) g, inside Og, so
+    u = g' g^-1 lies in O with nrd 1: a unit of O.  Conjugation by u maps O
+    onto O, so g' L g'^-1 = u (g L g^-1) u^-1 is contained in O, of the same
+    level and balanced exactly when g L g^-1 is (Voight, Quaternion
+    Algebras, ch. 16).
+    """
+    num, d = mo_lat.order._frame_num(gamma)
+    coords = _solve_int(mo_lat.mat, [v * mo_lat.den for v in num], d)
+    if coords is None:
+        raise TheoremViolation(f"conjugator candidate {gamma} lies outside the maximal order")
+    return tuple(c % n for c in coords)
 
 
 def _try_conjugator(ord_lat: Lattice4, level: int, gamma: Quat):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from quatlat import Lattice4
 
@@ -18,6 +18,20 @@ def sympy_snf_diag(rows) -> list[int]:
     m = smith_normal_form(Matrix([[int(v) for v in r] for r in rows]))
     n = min(m.rows, m.cols)
     return [abs(int(m[i, i])) for i in range(n)]
+
+
+def sympy_row_hnf(rows) -> list[list[int]]:
+    """Row Hermite form (pivots top left, nonzero rows only) via sympy.
+
+    sympy's form (Cohen, Algorithm 2.4.5) spans columns and puts its pivots
+    at the bottom right, so it is applied to the transpose with the
+    coordinates reversed, and its columns are read back in reverse.
+    """
+    m, n = len(rows), len(rows[0])
+    a = Matrix([[int(rows[i][j]) for i in range(m)] for j in reversed(range(n))])
+    w = hermite_normal_form(a)
+    r = w.cols
+    return [[int(w[n - 1 - j, r - 1 - i]) for j in range(n)] for i in range(r)]
 
 
 def row_span_equal(a_rows, b_rows) -> bool:

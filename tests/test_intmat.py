@@ -2,10 +2,31 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatlat import intmat
 
-from oracles import naive_det, row_span_equal, sympy_snf_diag
+from oracles import naive_det, row_span_equal, sympy_row_hnf, sympy_snf_diag
+
+FEW = settings(max_examples=80, deadline=None)
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices up to 5x4; about half made rank-deficient."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 4))
+    entry = st.integers(-9, 9)
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        # the last row becomes a combination of the others
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=rows - 1, max_size=rows - 1))
+        m[-1] = [sum(c * row[j] for c, row in zip(coefs, m)) for j in range(cols)]
+    return m
+
+
+FIVE_BY_FOUR = [[2, 4, 6, 8], [1, 3, 5, 7], [0, 0, 0, 0], [3, 7, 11, 15], [0, 2, 4, 6]]
 
 
 def rand_mat(rng, n, lo=-9, hi=9, nonsingular=True):
@@ -109,3 +130,24 @@ def test_singular_inputs():
         intmat.inverse_frac([[1, 2], [2, 4]])
     # rank-deficient rows just drop out of the Hermite form
     assert len(intmat.hnf([[1, 1, 1], [2, 2, 2], [0, 0, 1]])) == 2
+
+
+@FEW
+@given(int_matrices())
+@example([[0, 0], [0, 0]])
+@example([[0, 3, 1], [0, 6, 2]])
+@example(FIVE_BY_FOUR)
+def test_hnf_matches_sympy(m):
+    assert intmat.hnf(m) == sympy_row_hnf(m)
+
+
+@FEW
+@given(int_matrices())
+@example([[0, 0], [0, 0]])
+@example(FIVE_BY_FOUR)
+def test_snf_matches_sympy(m):
+    d, u, v = intmat.snf_with_transforms(m)
+    assert intmat.matmul(intmat.matmul(u, m), v) == d
+    assert intmat.is_unimodular(u) and intmat.is_unimodular(v)
+    assert all(d[i][j] == 0 for i in range(len(m)) for j in range(len(m[0])) if i != j)
+    assert [d[i][i] for i in range(min(len(m), len(m[0])))] == sympy_snf_diag(m)
