@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import divisors, factorize, is_squarefree, primes_in_range, smallest_root_multiple
 from .errors import TheoremViolation, UsageError
@@ -373,39 +373,21 @@ def exponent_bound(n_factored) -> ExponentReport:
     n1 = smallest_root_cover(fac)
     if n**2 >= n1**3:
         # max branch is N^(1/3); 1/3 < 11/24 so the min keeps it
-        return ExponentReport(
-            n_level=tuple(sorted(fac.items())),
-            n1=n1,
-            c=None,
-            c1=None,
-            m_char=None,
-            branch="N^(1/3)",
-            exponent=Fraction(1, 3),
-            lambda_choices=LAMBDA_CHOICES,
-            value_pow24=Fraction(n**8),
-        )
-    if n1**12 <= n**11:
-        return ExponentReport(
-            n_level=tuple(sorted(fac.items())),
-            n1=n1,
-            c=None,
-            c1=None,
-            m_char=None,
-            branch="N1^(1/2)",
-            exponent=Fraction(1, 2),
-            lambda_choices=LAMBDA_CHOICES,
-            value_pow24=Fraction(n1**12),
-        )
+        branch, exponent, value_pow24 = "N^(1/3)", Fraction(1, 3), n**8
+    elif n1**12 <= n**11:
+        branch, exponent, value_pow24 = "N1^(1/2)", Fraction(1, 2), n1**12
+    else:
+        branch, exponent, value_pow24 = "N^(11/24)", Fraction(11, 24), n**11
     return ExponentReport(
         n_level=tuple(sorted(fac.items())),
         n1=n1,
         c=None,
         c1=None,
         m_char=None,
-        branch="N^(11/24)",
-        exponent=Fraction(11, 24),
+        branch=branch,
+        exponent=exponent,
         lambda_choices=LAMBDA_CHOICES,
-        value_pow24=Fraction(n**11),
+        value_pow24=Fraction(value_pow24),
     )
 
 
@@ -498,7 +480,7 @@ def newform_bound(c_factored, m_char_factored) -> ExponentReport:
     c_prime = c1 * c1 // c
     if c1 * c1 % c or not is_squarefree(c_prime):
         raise TheoremViolation("C1^2/C must be a squarefree integer")
-    l = _lcm(m, c1)
+    l = lcm(m, c1)
     branch1_pow24, branch1 = (
         (Fraction(c**8), "C^(1/3)") if c**2 >= c1**3 else (Fraction(c1**12), "C1^(1/2)")
     )
@@ -535,7 +517,3 @@ def local_bound_pow24(c_factored) -> Fraction:
     for p in c_fac:
         prod *= 1 + Fraction(1, p)
     return Fraction(c1**12) * prod**12
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -339,9 +339,10 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
     strictly larger (doubling embeds it into the companion).
     """
     t0 = time.perf_counter()
-    if w.shape.tuple3() != q.lat.shape().tuple3():
+    shape = q.lat.shape()
+    if w.shape.tuple3() != shape.tuple3():
         raise UsageError("witness shape does not match the query lattice")
-    split_query = q.lat.shape().e == 2
+    split_query = shape.e == 2
     if split_query and q.lat != w.lat:
         raise UsageError("witness must be built on the query lattice")
     max_norm = q.l_max * q.l_max if q.squares_only else q.l_max

@@ -10,6 +10,7 @@ because downstream code consumes the right transform as a change of basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 IntMat = list[list[int]]
 
@@ -46,6 +47,10 @@ def det(A) -> int:
 def hnf(rows) -> IntMat:
     """Canonical row Hermite normal form; returns only the nonzero rows.
 
+    One pass per column: the first row with a nonzero entry becomes the pivot
+    row, and each lower row with a nonzero entry b under the pivot a is
+    combined with it by the unimodular Bezout step [[x, y], [-b/g, a/g]],
+    where g = gcd(a, b) = a x + b y, which leaves g in the pivot and 0 below.
     Pivots are positive, entries above each pivot lie in [0, pivot), and two
     integer row spans are equal exactly when their forms coincide.
     """
@@ -57,31 +62,28 @@ def hnf(rows) -> IntMat:
     for j in range(n):
         if r == m:
             break
-        while True:
-            nz = [i for i in range(r, m) if A[i][j] != 0]
-            if not nz:
-                has_pivot = False
-                break
-            i0 = min(nz, key=lambda i: (abs(A[i][j]), i))
-            if i0 != r:
-                A[r], A[i0] = A[i0], A[r]
-            others = [i for i in range(r + 1, m) if A[i][j] != 0]
-            if not others:
-                has_pivot = True
-                break
-            arj = A[r]
-            for i in others:
-                q = A[i][j] // arj[j]
-                if q:
-                    A[i] = [A[i][k] - q * arj[k] for k in range(n)]
-        if has_pivot:
-            if A[r][j] < 0:
-                A[r] = [-v for v in A[r]]
-            for i in range(r):
-                q = A[i][j] // A[r][j]
-                if q:
-                    A[i] = [A[i][k] - q * A[r][k] for k in range(n)]
-            r += 1
+        i0 = next((i for i in range(r, m) if A[i][j]), None)
+        if i0 is None:
+            continue
+        A[r], A[i0] = A[i0], A[r]
+        for i in range(i0 + 1, m):
+            b = A[i][j]
+            if b:
+                a = A[r][j]
+                g = gcd(a, b)
+                x = pow(a // g, -1, abs(b) // g)
+                y = (g - a * x) // b
+                ag, bg, ar, ai = a // g, b // g, A[r], A[i]
+                A[r] = [x * u + y * v for u, v in zip(ar, ai)]
+                A[i] = [ag * v - bg * u for u, v in zip(ar, ai)]
+        if A[r][j] < 0:
+            A[r] = [-v for v in A[r]]
+        piv = A[r]
+        for i in range(r):
+            q = A[i][j] // piv[j]
+            if q:
+                A[i] = [u - q * v for u, v in zip(A[i], piv)]
+        r += 1
     return A[:r]
 
 

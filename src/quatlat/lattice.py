@@ -595,7 +595,9 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
     a projection point v = w / den with |v_k| <= height, j in [0, den) is the
     unique residue such that the scalar parts completing v inside lat are
     exactly (j + den * Z) / den, and qs = den^2 * nrd(v).  Requires a lattice
-    containing 1 so that the completing set is a full coset of Z.
+    whose scalars are exactly Z (every lattice containing 1 inside a maximal
+    order), so that the completing set is a full coset of Z; any other
+    lattice raises UsageError.
 
     form = (G, cap), with G a positive definite 3x3 float Gram on the
     den-scaled coordinates w, also cuts the walk to the ellipsoid
@@ -604,23 +606,16 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
     ELLIPSOID_SLACK, so every slice of the box with w G w^T <= cap is still
     yielded, in the same order.
     """
-    if not lat.contains_one():
-        raise UsageError("slice enumeration needs a lattice containing 1")
     den = lat.den
-    mat = lat.mat
     bound = height * den
-    # projection lattice: trace-zero coords of all four rows
-    proj = intmat.hnf([list(row[1:]) for row in mat])
-    if len(proj) != 3:
-        raise DegenerateLatticeError("projection rank < 3")
-    p00, p01, p02 = proj[0]
-    p11, p12 = proj[1][1], proj[1][2]
-    p22 = proj[2][2]
-    # the scalar residue is additive along the projection basis, modulo the
-    # smallest positive scalar s0 of den * lat (s0 = den once lat holds no
-    # scalar finer than Z)
-    s0 = next(s for s in range(1, den + 1) if _solve_int(mat, (s, 0, 0, 0)) is not None)
-    r0, r1, r2 = (_scalar_residue(mat, s0, row) for row in proj)
+    # one Hermite form of den * lat with the scalar column last (Cohen,
+    # GTM 138, 2.4): rows 0-2 are the projection basis, each with its least
+    # scalar completion in the last column, and H[3][3] is the smallest
+    # positive scalar, so the scalar residue is additive along the basis
+    H = intmat.hnf([[*row[1:], row[0]] for row in lat.mat])
+    if H[3][3] != den:
+        raise UsageError("slice enumeration needs a lattice whose scalars are exactly Z")
+    (p00, p01, p02, r0), (_, p11, p12, r1), (_, _, p22, r2) = H[:3]
     # qs = w S w^T / 2 for the trace-zero Gram S, whose diagonal is even
     (s00, s01, s02), (_, s11, s12), (_, _, s22) = lat.order.gram0
     h00, h11, h22 = s00 // 2, s11 // 2, s22 // 2
@@ -628,7 +623,7 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
     c1_lo, c1_hi = -c1_max, c1_max
     pruned = form is not None
     if pruned:
-        a1, a2, a3, m21, m31, m32 = _completed_squares(proj, form[0])
+        a1, a2, a3, m21, m31, m32 = _completed_squares([row[:3] for row in H[:3]], form[0])
         budget = form[1] * (1.0 + ELLIPSOID_SLACK) + ELLIPSOID_SLACK
         c1_lo, c1_hi = _clip(c1_lo, c1_hi, 0.0, budget, a1)
     for c1 in range(c1_lo, c1_hi + 1):
@@ -657,18 +652,7 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
             for c3 in range(c3_lo, c3_hi + 1):
                 w2 = base2 + c3 * p22
                 qs = q01 + (h22 * w2 + s02 * w0 + s12 * w1) * w2
-                yield (w0, w1, w2), (res2 + c3 * r2) % s0, qs
-
-
-def _scalar_residue(mat, step, w) -> int:
-    """Least j >= 0 with (j, w) in the row span of mat; asserts existence.
-
-    step is the smallest positive scalar in the span, so j < step.
-    """
-    for j in range(step):
-        if _solve_int(mat, (j, w[0], w[1], w[2])) is not None:
-            return j
-    raise TheoremViolation("projection point lost its scalar completion")
+                yield (w0, w1, w2), (res2 + c3 * r2) % den, qs
 
 
 def norm_elements(lat: Lattice4, m: int, height: int, form=None) -> list[Quat]:

@@ -13,11 +13,11 @@ FEW = settings(max_examples=80, deadline=None)
 
 
 @st.composite
-def int_matrices(draw):
-    """Small integer matrices up to 5x4; about half made rank-deficient."""
-    rows = draw(st.integers(1, 5))
+def int_matrices(draw, max_rows=5, bound=9):
+    """Integer matrices up to max_rows x 4; about half made rank-deficient."""
+    rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, 4))
-    entry = st.integers(-9, 9)
+    entry = st.integers(-bound, bound)
     m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
     if rows > 1 and draw(st.booleans()):
         # the last row becomes a combination of the others
@@ -133,10 +133,12 @@ def test_singular_inputs():
 
 
 @FEW
-@given(int_matrices())
+# up to the 16 x 4 product spans and 10^6-sized entries that lattice code feeds in
+@given(int_matrices(max_rows=16, bound=10**6))
 @example([[0, 0], [0, 0]])
 @example([[0, 3, 1], [0, 6, 2]])
 @example(FIVE_BY_FOUR)
+@example([[-6, 4, 0, 1], [10, -7, 3, 0], [15, 0, 0, 5], [0, 0, 0, 0]] * 4)
 def test_hnf_matches_sympy(m):
     assert intmat.hnf(m) == sympy_row_hnf(m)
 

@@ -8,19 +8,27 @@ frame maps in quatlat.lattice are checked against an independent path.
 from fractions import Fraction
 from math import lcm
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatlat import (
     Quat,
+    QuatAlg,
+    UsageError,
+    default_maximal_order,
+    eichler_order,
     intmat,
+    lattice_product,
     norm_elements,
     traceless_slices,
+    two_sided_prime_ideal,
     z_plus_f_order,
     z_plus_zw_order,
 )
+from quatlat.lattice import ideal_power_order
 
-from oracles import naive_norm_elements, row_span_equal
+from oracles import naive_norm_elements, row_span_equal, sympy_row_hnf
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 quads = st.tuples(rationals, rationals, rationals, rationals)
@@ -141,13 +149,72 @@ def test_norm_elements_order_matches_naive(mo, pick, m, height):
     assert got == naive_norm_elements(lat, m, height)
 
 
+@pytest.fixture(scope="session")
+def slice_lattices(mo):
+    """lattices(mo), then Eichler-5, the order Z + P3^2 and an Eichler-7
+    order in the second algebra (2, -5)."""
+    mo2 = default_maximal_order(QuatAlg(2, -5))
+    return lattices(mo) + [
+        eichler_order(mo, 5)[0],
+        ideal_power_order(mo, 3, 2),
+        eichler_order(mo2, 7)[0],
+    ]
+
+
 @settings(max_examples=10, deadline=None)
-@given(st.integers(0, 4))
-def test_slice_residues_are_the_least_completions(mo, pick):
-    lat = lattices(mo)[pick]
+@given(st.integers(0, 7))
+@example(5)
+@example(6)
+@example(7)
+def test_slice_residues_are_the_least_completions(slice_lattices, pick):
+    lat = slice_lattices[pick]
+    alg = lat.order.alg
     den = lat.den
     for w, j, qs in traceless_slices(lat, 1):
+        assert 0 <= j < den
         v = [Fraction(c, den) for c in w]
         assert lat.contains_coords([Fraction(j, den)] + v)
         assert not any(lat.contains_coords([Fraction(i, den)] + v) for i in range(j))
-        assert qs == den * den * frac_nrd([0] + v, mo.alg.p, mo.alg.q)
+        assert qs == den * den * frac_nrd(vec_mat([0] + v, lat.order.basis), alg.p, alg.q)
+
+
+def test_slices_refuse_scalars_finer_than_z(mo):
+    # Z-span of (1, i1, i2, i3) / 2: its scalars are Z / 2, so the completions
+    # of a projection point are not one coset of Z; the naive oracle finds 52
+    # units and 16 norm-3 elements up to height 2, most of which a walk that
+    # keeps one scalar residue mod den per projection point would lose
+    half = Fraction(1, 2)
+    lat = mo.lattice_from_frame_rows([[half * (i == k) for k in range(4)] for i in range(4)])
+    assert len(naive_norm_elements(lat, 1, 2)) == 52
+    with pytest.raises(UsageError):
+        next(traceless_slices(lat, 1))
+    with pytest.raises(UsageError):
+        norm_elements(lat, 1, 2)
+
+
+def _frac_basis(lat):
+    """Basis of lat in (1, I, J, IJ) coordinates, as Fractions."""
+    return [vec_mat([Fraction(v, lat.den) for v in row], lat.order.basis) for row in lat.mat]
+
+
+PRODUCT_PAIRS = {
+    "O x Eichler-5": lambda mo: (mo.lattice, eichler_order(mo, 5)[0]),
+    "P2 x P2": lambda mo: (two_sided_prime_ideal(mo, 2),) * 2,
+    "(Z+3O) x (Z+Zi1+5O)": lambda mo: (z_plus_f_order(mo, 3),
+                                       z_plus_zw_order(mo, mo.i_basis[0], 5)),
+}
+
+
+@pytest.mark.parametrize("pair", PRODUCT_PAIRS)
+def test_lattice_product_spans_all_basis_products(mo, pair):
+    p, q = mo.alg.p, mo.alg.q
+    a, b = PRODUCT_PAIRS[pair](mo)
+    got = lattice_product(a, b)
+    rows = [vec_mat(frac_mul(x, y, p, q), mo._from_ijk)
+            for x in _frac_basis(a) for y in _frac_basis(b)]
+    den = lcm(got.den, *(v.denominator for row in rows for v in row))
+    # row_span_equal needs square bases: sympy's Hermite form cuts the 16
+    # products down to 4 rows
+    want_int = sympy_row_hnf([[int(v * den) for v in row] for row in rows])
+    got_int = [[v * (den // got.den) for v in row] for row in got.mat]
+    assert row_span_equal(want_int, got_int)
