@@ -15,7 +15,7 @@ from math import gcd
 
 from .arith import factorize
 from .errors import TheoremViolation, UsageError
-from .lattice import Lattice4, _solve_int, norm_elements
+from .lattice import Lattice4, _solve_int, norm_keys
 from .quat import Quat
 
 
@@ -90,6 +90,7 @@ def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
     if ord_lat.is_balanced():
         return mo.alg.one(), ord_lat
     level = ord_lat.level()
+    mo_lat = mo.lattice
     heights = []
     height = 2
     while height < spec.height_max:
@@ -99,31 +100,33 @@ def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
     for n in _candidate_norms(sorted(spec.primes), spec.k_max):
         tried = set()
         for height in heights:
-            for gamma in norm_elements(mo.lattice, n, height):
-                key = _class_key(mo.lattice, gamma, n)
-                if key in tried:
+            for key in norm_keys(mo_lat, n, height):
+                cls = _class_key(mo_lat, key, n)
+                if cls in tried:
                     continue
-                tried.add(key)
+                tried.add(cls)
+                gamma = mo.quat_from_frame(key, mo_lat.den)
                 conj = _try_conjugator(ord_lat, level, gamma)
                 if conj is not None:
                     return gamma, conj
     return None
 
 
-def _class_key(mo_lat: Lattice4, gamma: Quat, n: int) -> tuple[int, ...]:
-    """Coordinates of gamma in the maximal order's basis, reduced mod n.
+def _class_key(mo_lat: Lattice4, key, n: int) -> tuple[int, ...]:
+    """Coordinates of a candidate in the maximal order's basis, reduced mod n.
 
-    Candidates of norm n with equal keys give the same verdict.  If g' = g
-    mod nO, then g' lies in g + nO = g + O conj(g) g, inside Og, so
+    key is the candidate's den-scaled frame tuple, as norm_keys(mo_lat, ...)
+    yields it.  Candidates of norm n with equal keys give the same verdict.
+    If g' = g mod nO, then g' lies in g + nO = g + O conj(g) g, inside Og, so
     u = g' g^-1 lies in O with nrd 1: a unit of O.  Conjugation by u maps O
     onto O, so g' L g'^-1 = u (g L g^-1) u^-1 is contained in O, of the same
     level and balanced exactly when g L g^-1 is (Voight, Quaternion
     Algebras, ch. 16).
     """
-    num, d = mo_lat.order._frame_num(gamma)
-    coords = _solve_int(mo_lat.mat, [v * mo_lat.den for v in num], d)
+    coords = _solve_int(mo_lat.mat, key)
     if coords is None:
-        raise TheoremViolation(f"conjugator candidate {gamma} lies outside the maximal order")
+        raise TheoremViolation(
+            f"conjugator candidate {tuple(key)} / {mo_lat.den} lies outside the maximal order")
     return tuple(c % n for c in coords)
 
 

@@ -22,7 +22,7 @@ from math import gcd, isqrt, sqrt
 from . import coprime, intmat
 from .arith import divisor_count, is_square, sqrt_ceil_of_product
 from .errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
-from .lattice import Lattice4, Shape, norm_elements, traceless_slices
+from .lattice import Lattice4, Shape, norm_elements, norm_keys, traceless_slices
 from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
 
 U_SLACK = 1e-9
@@ -312,9 +312,24 @@ def enumerate_norm_ball(
     if m < 1:
         raise UsageError("norm must be positive")
     height = sqrt_ceil_of_product(t.t, m)
-    cap = (4.0 * (delta + PREFILTER_SLACK) + 2.0) * lat.den**2 * m
-    found = norm_elements(lat, m, height, (_fz_gram(lat.order, z), cap))
-    return [a for a in found if in_ball(a, z, delta)]
+    den = lat.den
+    gram = _fz_gram(lat.order, z)
+    cap = (4.0 * (delta + PREFILTER_SLACK) + 2.0) * den * den * m
+    (f00, f01, f02), (_, f11, f12), (_, _, f22) = gram
+    qf = lat.order.quat_from_frame
+    found = []
+    for key in norm_keys(lat, m, height, (gram, cap)):
+        # 2 h^2 + F <= cap on the walk's integers first, so only ball members
+        # (plus the slack) become Quats for the exact test
+        h, w0, w1, w2 = key
+        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + 2.0 * (
+            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2)
+        if 2 * h * h + f_scaled > cap:
+            continue
+        alpha = qf(key, den)
+        if in_ball(alpha, z, delta):
+            found.append(alpha)
+    return found
 
 
 @dataclass(frozen=True)
@@ -389,6 +404,10 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
                     hm = sqrt_ceil_of_product(t.t, m) * den
                     box_cache[m] = hm
                 if abs(h) > hm or any(abs(c) > hm for c in wv):
+                    continue
+                # 2 h^2 + F <= (4 delta + 2) den^2 m on the integers first, so
+                # only ball members (plus the slack) become Quats
+                if 2 * h * h + f_scaled > c_hi * num:
                     continue
                 alpha = order.quat_from_frame((h, w0, w1, w2), den)
                 if in_ball(alpha, q.z, q.delta):
@@ -576,8 +595,12 @@ def _fz_gram(order, z: UpperHalfPoint) -> list[list[float]]:
     F_z is positive definite; for den-scaled coordinates w of v = w / den,
     w G w^T = den^2 * F_z(v).
     """
-    g = [[e for row in _iota_conj(v, z.x, z.y) for e in row] for v in order.i_basis]
-    return [[sum(a * b for a, b in zip(g[k], g[l])) for l in range(3)] for k in range(3)]
+    g = []
+    for v in order.i_basis:
+        (a, b), (c, d) = _iota_conj(v, z.x, z.y)
+        g.append((a, b, c, d))
+    return [[u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 for v0, v1, v2, v3 in g]
+            for u0, u1, u2, u3 in g]
 
 
 def _iota_conj(v: Quat, x: float, y: float):

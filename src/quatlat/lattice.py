@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, isqrt, lcm, prod, sqrt
 
 from . import intmat
@@ -352,6 +353,22 @@ class Lattice4:
         rows = [_vecmat(row, order._t_cols) for row in self.mat]
         return _raw_reduced_discriminant(order.alg, rows, self.den * order._t_den)
 
+    @cached_property
+    def slice_frame(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The set-up of traceless_slices, computed once per lattice.
+
+        One Hermite form of den * lat with the scalar column last (Cohen,
+        GTM 138, 2.4): its rows 0-2 are the projection basis, each with its
+        least scalar completion in the last column, and H[3][3] is the
+        smallest positive scalar, so the scalar residue is additive along
+        the basis.  Only a lattice whose scalars are exactly Z has
+        H[3][3] = den; any other raises UsageError, on every access.
+        """
+        H = intmat.hnf([[*row[1:], row[0]] for row in self.mat])
+        if H[3][3] != self.den:
+            raise UsageError("slice enumeration needs a lattice whose scalars are exactly Z")
+        return tuple(tuple(row) for row in H[:3])
+
     def conjugate_by(self, g: Quat) -> "Lattice4":
         """The lattice g * self * g^-1.
 
@@ -564,8 +581,10 @@ def _completed_squares(proj, G) -> tuple[float, ...]:
     Q(c) = a1 c1^2 + a2 (c2 + m21 c1)^2 + a3 (c3 + m31 c1 + m32 c2)^2,
     completing the square in c3 first, then in c2.
     """
-    Q = [[sum(pi[k] * G[k][l] * pj[l] for k in range(3) for l in range(3)) for pj in proj]
-         for pi in proj]
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = G
+    PG = [(p0 * g00 + p1 * g10 + p2 * g20, p0 * g01 + p1 * g11 + p2 * g21,
+           p0 * g02 + p1 * g12 + p2 * g22) for p0, p1, p2 in proj]
+    Q = [[u0 * p0 + u1 * p1 + u2 * p2 for p0, p1, p2 in proj] for u0, u1, u2 in PG]
     a3 = Q[2][2]
     if not a3 > 0:
         raise UsageError("ellipsoid form must be positive definite")
@@ -578,14 +597,6 @@ def _completed_squares(proj, G) -> tuple[float, ...]:
     if not a1 > 0:
         raise UsageError("ellipsoid form must be positive definite")
     return a1, a2, a3, m21, m31, m32
-
-
-def _clip(lo: int, hi: int, center: float, budget: float, a: float) -> tuple[int, int]:
-    """[lo, hi] cut to the integers c with a (c - center)^2 <= budget, widened."""
-    if budget < 0:
-        return 1, 0
-    r = sqrt(budget / a) * (1.0 + ELLIPSOID_SLACK) + ELLIPSOID_SLACK
-    return max(lo, ceil(center - r)), min(hi, floor(center + r))
 
 
 def traceless_slices(lat: Lattice4, height: int, form=None):
@@ -608,14 +619,8 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
     """
     den = lat.den
     bound = height * den
-    # one Hermite form of den * lat with the scalar column last (Cohen,
-    # GTM 138, 2.4): rows 0-2 are the projection basis, each with its least
-    # scalar completion in the last column, and H[3][3] is the smallest
-    # positive scalar, so the scalar residue is additive along the basis
-    H = intmat.hnf([[*row[1:], row[0]] for row in lat.mat])
-    if H[3][3] != den:
-        raise UsageError("slice enumeration needs a lattice whose scalars are exactly Z")
-    (p00, p01, p02, r0), (_, p11, p12, r1), (_, _, p22, r2) = H[:3]
+    frame = lat.slice_frame
+    (p00, p01, p02, r0), (_, p11, p12, r1), (_, _, p22, r2) = frame
     # qs = w S w^T / 2 for the trace-zero Gram S, whose diagonal is even
     (s00, s01, s02), (_, s11, s12), (_, _, s22) = lat.order.gram0
     h00, h11, h22 = s00 // 2, s11 // 2, s22 // 2
@@ -623,9 +628,16 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
     c1_lo, c1_hi = -c1_max, c1_max
     pruned = form is not None
     if pruned:
-        a1, a2, a3, m21, m31, m32 = _completed_squares([row[:3] for row in H[:3]], form[0])
-        budget = form[1] * (1.0 + ELLIPSOID_SLACK) + ELLIPSOID_SLACK
-        c1_lo, c1_hi = _clip(c1_lo, c1_hi, 0.0, budget, a1)
+        # a range clipped to a (c - centre)^2 <= t is centre -+ sqrt(t / a),
+        # widened by ELLIPSOID_SLACK; a negative t leaves it empty
+        slack = ELLIPSOID_SLACK
+        grow = 1.0 + slack
+        a1, a2, a3, m21, m31, m32 = _completed_squares([row[:3] for row in frame], form[0])
+        budget = form[1] * grow + slack
+        if budget < 0:
+            return
+        r = sqrt(budget / a1) * grow + slack
+        c1_lo, c1_hi = max(c1_lo, ceil(-r)), min(c1_hi, floor(r))
     for c1 in range(c1_lo, c1_hi + 1):
         w0 = c1 * p00
         base1 = c1 * p01
@@ -636,7 +648,11 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
         c2_hi = (bound - base1) // p11
         if pruned:
             t1 = budget - a1 * c1 * c1
-            c2_lo, c2_hi = _clip(c2_lo, c2_hi, -m21 * c1, t1, a2)
+            if t1 < 0:
+                continue
+            r = sqrt(t1 / a2) * grow + slack
+            centre = -m21 * c1
+            c2_lo, c2_hi = max(c2_lo, ceil(centre - r)), min(c2_hi, floor(centre + r))
         for c2 in range(c2_lo, c2_hi + 1):
             w1 = base1 + c2 * p11
             base2 = c1 * p02 + c2 * p12
@@ -647,25 +663,30 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
             c3_hi = (bound - base2) // p22
             if pruned:
                 d2 = c2 + m21 * c1
-                c3_lo, c3_hi = _clip(c3_lo, c3_hi, -(m31 * c1 + m32 * c2),
-                                     t1 - a2 * d2 * d2, a3)
+                t2 = t1 - a2 * d2 * d2
+                if t2 < 0:
+                    continue
+                r = sqrt(t2 / a3) * grow + slack
+                centre = -(m31 * c1 + m32 * c2)
+                c3_lo, c3_hi = max(c3_lo, ceil(centre - r)), min(c3_hi, floor(centre + r))
             for c3 in range(c3_lo, c3_hi + 1):
                 w2 = base2 + c3 * p22
                 qs = q01 + (h22 * w2 + s02 * w0 + s12 * w1) * w2
                 yield (w0, w1, w2), (res2 + c3 * r2) % den, qs
 
 
-def norm_elements(lat: Lattice4, m: int, height: int, form=None) -> list[Quat]:
-    """All elements of lat with reduced norm m and frame coords <= height.
+def norm_keys(lat: Lattice4, m: int, height: int, form=None) -> list[tuple[int, ...]]:
+    """Den-scaled frame coordinates of the elements norm_elements returns.
 
-    form, when given, is passed to traceless_slices and drops elements whose
-    trace-zero part lies outside that ellipsoid.
+    Each key (h, w0, w1, w2) is den times the frame coordinates of one
+    element of lat with reduced norm m and frame coords <= height, and the
+    keys come sorted, which orders them like the frame coordinates
+    themselves.  form, when given, is passed to traceless_slices and drops
+    elements whose trace-zero part lies outside that ellipsoid.
 
-    Deterministic: output sorted by coordinate tuple.  The scan walks the
-    trace-zero projection and completes each slice by an exact integer
-    square root, so only genuine lattice points are ever touched; the sort
-    runs on den-scaled integer tuples, which order like the frame
-    coordinates themselves.
+    The scan walks the trace-zero projection and completes each slice by an
+    exact integer square root, so only genuine lattice points are ever
+    touched.
     """
     den = lat.den
     dd = den * den
@@ -682,8 +703,18 @@ def norm_elements(lat: Lattice4, m: int, height: int, form=None) -> list[Quat]:
             if hh % den == j:
                 keys.append((hh, *w))
     keys.sort()
+    return keys
+
+
+def norm_elements(lat: Lattice4, m: int, height: int, form=None) -> list[Quat]:
+    """All elements of lat with reduced norm m and frame coords <= height.
+
+    Deterministic: the elements of norm_keys(lat, m, height, form), in its
+    sorted coordinate order.
+    """
     qf = lat.order.quat_from_frame
-    return [qf(k, den) for k in keys]
+    den = lat.den
+    return [qf(k, den) for k in norm_keys(lat, m, height, form)]
 
 
 # ---------------------------------------------------------------------------

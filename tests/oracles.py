@@ -35,16 +35,12 @@ def sympy_row_hnf(rows) -> list[list[int]]:
 
 
 def row_span_equal(a_rows, b_rows) -> bool:
-    """Same integer row span, checked by mutual exact membership."""
+    """Same integer row span: equal sympy Hermite forms.
 
-    def contains(basis, vec):
-        m = Matrix([[int(v) for v in r] for r in basis]).T
-        sol = m.gauss_jordan_solve(Matrix([int(v) for v in vec]))[0]
-        return all(v.is_Integer for v in sol)
-
-    return all(contains(b_rows, r) for r in a_rows) and all(
-        contains(a_rows, r) for r in b_rows
-    )
+    The Hermite form of a generating set is that of its span whatever the
+    number of rows, so redundant generators need no pre-reduction.
+    """
+    return sympy_row_hnf(a_rows) == sympy_row_hnf(b_rows)
 
 
 def naive_det(rows) -> int:

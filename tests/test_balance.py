@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from quatlat import (
     ideal_power_order,
     intersect,
     norm_elements,
+    norm_keys,
     smith_condition,
     z_plus_f_order,
 )
@@ -165,9 +167,11 @@ def test_equal_class_keys_give_equal_verdicts(mo):
     pairs = positive = 0
     for n, p in ((5, 5), (7, 7), (25, 5)):
         lats = [_power_order(mo, p, 2), _power_order(mo, p, 4)]
+        mo_lat = mo.lattice
         classes = {}
-        for gamma in norm_elements(mo.lattice, n, 4):
-            classes.setdefault(_class_key(mo.lattice, gamma, n), []).append(gamma)
+        for key in norm_keys(mo_lat, n, 4):
+            gamma = mo.quat_from_frame(key, mo_lat.den)
+            classes.setdefault(_class_key(mo_lat, key, n), []).append(gamma)
         for members in classes.values():
             for g, g2 in combinations(members, 2):
                 u = g2 * g.inverse()
@@ -183,9 +187,35 @@ def test_equal_class_keys_give_equal_verdicts(mo):
 
 
 def test_class_key_rejects_elements_outside_the_order(mo):
-    half = mo.quat_from_frame((1, 0, 0, 0), 2)
+    # the den-scaled frame tuple of 1/2, which the maximal order does not hold
+    mo_lat = mo.lattice
+    assert mo_lat.den % 2 == 0
+    half = (mo_lat.den // 2, 0, 0, 0)
+    assert not mo_lat.contains_coords((Fraction(1, 2), 0, 0, 0))
     with pytest.raises(TheoremViolation):
-        _class_key(mo.lattice, half, 5)
+        _class_key(mo_lat, half, 5)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_search_builds_one_quat_per_class_tried(mo, monkeypatch, p):
+    lat = _power_order(mo, p, 4)
+    spec = BalanceSearchSpec(lat, frozenset({p}), 2, 8)
+    want = _search_every_element(spec)
+    built, tried = [], []
+    quat_from_frame = type(mo).quat_from_frame
+
+    def counting_quat_from_frame(self, *args):
+        built.append(args)
+        return quat_from_frame(self, *args)
+
+    def counting_try(*args):
+        tried.append(args[2])
+        return _try_conjugator(*args)
+
+    monkeypatch.setattr(type(mo), "quat_from_frame", counting_quat_from_frame)
+    monkeypatch.setattr(balance, "_try_conjugator", counting_try)
+    assert balanced_search(spec) == want
+    assert tried and len(built) <= len(tried)
 
 
 def test_height_one_search_tries_candidates(mo, monkeypatch):

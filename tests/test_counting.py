@@ -31,6 +31,7 @@ from quatlat import (
     z_plus_zw_order,
 )
 from quatlat.arith import sqrt_ceil_of_product
+from quatlat.cli import sample_points
 from quatlat.counting import _max_divisor_count, _pair_det
 from quatlat.errors import SearchExhausted, UsageError
 from quatlat.quat import apply_quat
@@ -318,3 +319,23 @@ def test_max_divisor_count_matches_sieve():
         assert _max_divisor_count(n) == best, n
     # above the exact range the bound stays the 2*sqrt fallback
     assert _max_divisor_count(3_000_001) == 2 * isqrt(3_000_001) + 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_prefilter_keeps_an_element_on_the_ball_boundary(mo, seed):
+    # delta = u(z, alpha z) - 5e-10 lies below alpha's own move, which in_ball
+    # still accepts through U_SLACK; the integer 2 h^2 + F test ahead of it
+    # must keep alpha too, which only its PREFILTER_SLACK does
+    lat = eichler_order(mo, 5)[0]
+    t = frame_bc(mo, 1.0)
+    z = sample_points(BOX, 2, seed)[1]
+    found = [a for m in range(1, 9) for a in enumerate_norm_ball(lat, m, z, 1.0, t)]
+    alpha = max(found, key=lambda a: u_dist(z, apply_quat(a, z)))
+    u = u_dist(z, apply_quat(alpha, z))
+    assert 0.1 < u <= 1.0
+    delta = u - 5e-10
+    m = int(alpha.nrd())
+    on_boundary = enumerate_norm_ball(lat, m, z, delta, t)
+    assert alpha in on_boundary
+    rep = sweep_counts(CountQuery(lat, z, delta, m), build_injection(lat), t)
+    assert dict(rep.per_m)[m] == len(on_boundary)

@@ -21,6 +21,7 @@ from quatlat import (
     intmat,
     lattice_product,
     norm_elements,
+    norm_keys,
     traceless_slices,
     two_sided_prime_ideal,
     z_plus_f_order,
@@ -28,7 +29,7 @@ from quatlat import (
 )
 from quatlat.lattice import ideal_power_order
 
-from oracles import naive_norm_elements, row_span_equal, sympy_row_hnf
+from oracles import naive_norm_elements, row_span_equal
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
 quads = st.tuples(rationals, rationals, rationals, rationals)
@@ -186,8 +187,13 @@ def test_slices_refuse_scalars_finer_than_z(mo):
     half = Fraction(1, 2)
     lat = mo.lattice_from_frame_rows([[half * (i == k) for k in range(4)] for i in range(4)])
     assert len(naive_norm_elements(lat, 1, 2)) == 52
+    # the refusal holds on every call, so the per-lattice set-up never
+    # turns it into a silent walk
+    for _ in range(2):
+        with pytest.raises(UsageError):
+            next(traceless_slices(lat, 1))
     with pytest.raises(UsageError):
-        next(traceless_slices(lat, 1))
+        norm_keys(lat, 1, 2)
     with pytest.raises(UsageError):
         norm_elements(lat, 1, 2)
 
@@ -213,8 +219,57 @@ def test_lattice_product_spans_all_basis_products(mo, pair):
     rows = [vec_mat(frac_mul(x, y, p, q), mo._from_ijk)
             for x in _frac_basis(a) for y in _frac_basis(b)]
     den = lcm(got.den, *(v.denominator for row in rows for v in row))
-    # row_span_equal needs square bases: sympy's Hermite form cuts the 16
-    # products down to 4 rows
-    want_int = sympy_row_hnf([[int(v * den) for v in row] for row in rows])
+    want_int = [[int(v * den) for v in row] for row in rows]
     got_int = [[v * (den // got.den) for v in row] for row in got.mat]
     assert row_span_equal(want_int, got_int)
+
+
+def test_row_span_equal_reads_redundant_generators(mo):
+    # the 16 products spanning O x Eichler-5 = O against the 4-row basis of O:
+    # a generating set with more rows than its rank spans the same lattice
+    a, b = PRODUCT_PAIRS["O x Eichler-5"](mo)
+    p, q = mo.alg.p, mo.alg.q
+    rows = [vec_mat(frac_mul(x, y, p, q), mo._from_ijk)
+            for x in _frac_basis(a) for y in _frac_basis(b)]
+    den = lcm(a.den, *(v.denominator for row in rows for v in row))
+    raw = [[int(v * den) for v in row] for row in rows]
+    basis = [[v * (den // a.den) for v in row] for row in a.mat]
+    assert len(raw) == 16
+    assert row_span_equal(raw, basis) and row_span_equal(basis, raw)
+    # and it still tells a proper sublattice apart
+    assert not row_span_equal(raw, [[2 * v for v in row] for row in basis])
+    assert not row_span_equal(raw, basis[:3])
+
+
+def _gram_from(a):
+    """A positive definite integer Gram A^T A (a unit triangle if A is singular)."""
+    A = [a[0:3], a[3:6], a[6:9]]
+    if intmat.det(A) == 0:
+        A = [[1, 0, 0], [0, 1, 0], [a[0], a[1], 1]]
+    return [[sum(A[r][k] * A[r][l] for r in range(3)) for l in range(3)] for k in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(-1, 8),
+    st.integers(1, 2),
+    st.none() | st.tuples(st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+                          st.integers(0, 200)),
+)
+@example(5, 4, 2, None)
+@example(6, 1, 1, ([1, 0, 0, 0, 1, 0, 0, 0, 1], 4))
+@example(7, 7, 1, None)
+def test_norm_keys_are_the_sorted_naive_frame_tuples(slice_lattices, pick, m, height, form):
+    lat = slice_lattices[pick]
+    den = lat.den
+    want = [tuple(int(v * den) for v in c) for c in naive_norm_elements(lat, m, height)]
+    if form is None:
+        got = norm_keys(lat, m, height)
+    else:
+        # an integer Gram makes w G w^T exact, so boundary elements count
+        G, cap = _gram_from(form[0]), form[1]
+        got = norm_keys(lat, m, height, ([[float(v) for v in r] for r in G], cap))
+        want = [k for k in want if sum(k[1 + i] * G[i][j] * k[1 + j]
+                                       for i in range(3) for j in range(3)) <= cap]
+    assert got == want
