@@ -314,17 +314,19 @@ def enumerate_norm_ball(
     height = sqrt_ceil_of_product(t.t, m)
     den = lat.den
     gram = _fz_gram(lat.order, z)
-    cap = (4.0 * (delta + PREFILTER_SLACK) + 2.0) * den * den * m
-    (f00, f01, f02), (_, f11, f12), (_, _, f22) = gram
+    f00, f11, f22 = gram[0][0], gram[1][1], gram[2][2]
+    f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
+    c_hi = 4.0 * (delta + PREFILTER_SLACK) + 2.0
+    num = den * den * m
     qf = lat.order.quat_from_frame
     found = []
-    for key in norm_keys(lat, m, height, (gram, cap)):
-        # 2 h^2 + F <= cap on the walk's integers first, so only ball members
-        # (plus the slack) become Quats for the exact test
+    for key in norm_keys(lat, m, height, (gram, c_hi * num)):
         h, w0, w1, w2 = key
-        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + 2.0 * (
-            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2)
-        if 2 * h * h + f_scaled > cap:
+        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + (
+            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2
+        )
+        # the pre-Quat test of sweep_counts, in the same form
+        if 2 * h * h + f_scaled > c_hi * num:
             continue
         alpha = qf(key, den)
         if in_ball(alpha, z, delta):

@@ -706,15 +706,15 @@ def norm_keys(lat: Lattice4, m: int, height: int, form=None) -> list[tuple[int, 
     return keys
 
 
-def norm_elements(lat: Lattice4, m: int, height: int, form=None) -> list[Quat]:
+def norm_elements(lat: Lattice4, m: int, height: int) -> list[Quat]:
     """All elements of lat with reduced norm m and frame coords <= height.
 
-    Deterministic: the elements of norm_keys(lat, m, height, form), in its
-    sorted coordinate order.
+    Deterministic: the elements of norm_keys(lat, m, height), in its sorted
+    coordinate order.
     """
     qf = lat.order.quat_from_frame
     den = lat.den
-    return [qf(k, den) for k in norm_keys(lat, m, height, form)]
+    return [qf(k, den) for k in norm_keys(lat, m, height)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from quatlat import (
     ideal_power_order,
     intersect,
     norm_elements,
-    norm_keys,
     smith_condition,
     z_plus_f_order,
 )
@@ -19,6 +18,7 @@ from quatlat import balance
 from quatlat.arith import factorize
 from quatlat.balance import _candidate_norms, _class_key, _try_conjugator
 from quatlat.errors import TheoremViolation, UsageError
+from quatlat.lattice import norm_keys
 
 
 def _power_order(mo, p, n):

@@ -21,13 +21,12 @@ from quatlat import (
     intmat,
     lattice_product,
     norm_elements,
-    norm_keys,
     traceless_slices,
     two_sided_prime_ideal,
     z_plus_f_order,
     z_plus_zw_order,
 )
-from quatlat.lattice import ideal_power_order
+from quatlat.lattice import ideal_power_order, norm_keys
 
 from oracles import naive_norm_elements, row_span_equal
 
