@@ -72,7 +72,7 @@ def _candidate_norms(primes, k_max: int) -> list[int]:
     return sorted(norms)
 
 
-def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
+def balanced_search(spec: BalanceSearchSpec):
     """Find a conjugate of the order that is balanced in the maximal order.
 
     Returns (conjugator, conjugate) or None when the bounded search misses.
@@ -82,8 +82,6 @@ def balanced_search(spec: BalanceSearchSpec, threads: int = 1):
     Only the first candidate of each class mod nO is tried: every member of
     a class gives the same verdict (see _class_key), so the result is the
     same as trying them all.
-    threads is accepted for compatibility and does not change the search:
-    the work is pure-Python arithmetic, which threads cannot run in parallel.
     """
     ord_lat = spec.ord
     mo = ord_lat.order

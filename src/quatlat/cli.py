@@ -1,8 +1,8 @@
 """Experiment harness: config loading, subcommands, deterministic CSV output.
 
 Determinism contract: given the same config, seed, and inputs, every run
-writes byte-identical output regardless of thread count.  Timing is only
-recorded when explicitly requested, since wall times are never reproducible.
+writes byte-identical output.  Timing is only recorded when explicitly
+requested, since wall times are never reproducible.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from . import __version__, balance, counting, coprime
 from . import amplifier as amp_mod
 from .arith import factorize
 from .errors import SearchExhausted, TheoremViolation, UsageError
-from .lattice import (
-    Lattice4,
-    MaximalOrder,
-    default_maximal_order,
-    saturate_to_maximal,
-)
+from .lattice import Lattice4, MaximalOrder, default_maximal_order
 from .quat import QuatAlg, UpperHalfPoint, ZBox, box_constant
 
 log = logging.getLogger("quatlat")
@@ -115,7 +110,6 @@ class ExperimentConfig:
     squares_only: bool
     samples: int
     seed: int
-    threads: int
 
 
 def _lattice_rows(obj, what: str):
@@ -140,8 +134,14 @@ def _read_json(path: str, what: str):
         raise UsageError(f"{what} is not valid JSON: {e}") from None
 
 
-def load_config(path: str | None, overrides, need_lattice: bool = True) -> ExperimentConfig:
+def load_config(args, need_lattice: bool = True) -> ExperimentConfig:
+    """The config file named by --config, with count's flags laid over it.
+
+    A subcommand's args hold only the flags it offers: without --config
+    the defaults apply, and only count can override the sweep settings.
+    """
     raw = {}
+    path = getattr(args, "config", None)
     if path is not None:
         raw = _read_json(path, "config")
     if not isinstance(raw, dict):
@@ -153,9 +153,7 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
             rows = _lattice_rows(raw["maximal_order"], "maximal_order")
             mo = MaximalOrder(alg, rows)
         else:
-            mo = saturate_to_maximal(
-                alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-            )
+            mo = default_maximal_order(alg)
             log.info(
                 "maximal order not given; saturated from the standard basis to "
                 "level-1 order with reduced discriminant %s",
@@ -168,8 +166,8 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
         else:
             order_lat = mo.lattice
     delta = float(_to_fraction(raw.get("delta", 1)))
-    if "delta" in overrides and overrides["delta"] is not None:
-        delta = overrides["delta"]
+    if getattr(args, "delta", None) is not None:
+        delta = args.delta
     zb = raw.get("z_box", list(DEFAULT_Z_BOX))
     if not isinstance(zb, list) or len(zb) != 4:
         raise UsageError("z_box must hold 4 reals")
@@ -181,19 +179,14 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
     squares_only = bool(sweep.get("squares_only", False))
     samples = _to_int(sweep.get("samples", 4), "sweep.samples")
     seed = _to_int(sweep.get("seed", 0), "sweep.seed")
-    if overrides.get("lmax") is not None:
-        l_max = overrides["lmax"]
-    if overrides.get("squares"):
+    if getattr(args, "lmax", None) is not None:
+        l_max = args.lmax
+    if getattr(args, "squares", False):
         squares_only = True
-    if overrides.get("seed") is not None:
-        seed = overrides["seed"]
-    threads = _to_int(raw.get("threads", 0), "threads") or _to_int(
-        os.environ.get("QUATLAT_THREADS", "1"), "QUATLAT_THREADS"
-    )
-    if overrides.get("threads") is not None:
-        threads = overrides["threads"]
-    if l_max < 1 or samples < 1 or threads < 1:
-        raise UsageError("l_max, samples, and threads must be positive")
+    if getattr(args, "seed", None) is not None:
+        seed = args.seed
+    if l_max < 1 or samples < 1:
+        raise UsageError("l_max and samples must be positive")
     return ExperimentConfig(
         alg=alg,
         mo=mo,
@@ -204,7 +197,6 @@ def load_config(path: str | None, overrides, need_lattice: bool = True) -> Exper
         squares_only=squares_only,
         samples=samples,
         seed=seed,
-        threads=threads,
     )
 
 
@@ -284,24 +276,17 @@ def _cmd_count(cfg: ExperimentConfig, args) -> str:
     t = box_constant(cfg.delta, cfg.z_box, cfg.alg, frame_inv=cfg.mo._from_ijk)
     witness = counting.build_injection(lat)
     sh = lat.shape()
-    points = sample_points(cfg.z_box, cfg.samples, cfg.seed)
-    timing = bool(getattr(args, "timing", False))
-
-    def one(idx_z):
-        idx, z = idx_z
+    rows = []
+    for idx, z in enumerate(sample_points(cfg.z_box, cfg.samples, cfg.seed)):
         q = counting.CountQuery(lat, z, cfg.delta, cfg.l_max, cfg.squares_only)
         rep = counting.sweep_counts(q, witness, t)
-        wall = rep.wall_ms if timing else 0.0
-        return (
+        wall = rep.wall_ms if args.timing else 0.0
+        rows.append(
             f"{cfg.seed}-{idx},{sh.level},{sh.m1},{sh.m2},{sh.m3},{sh.e},"
             f"{cfg.l_max},{int(cfg.squares_only)},{cfg.delta!r},"
             f"{z.x!r},{z.y!r},{t.t!r},{rep.total},{rep.explicit_bound},"
             f"{rep.ratio!r},{wall!r}"
         )
-
-    # --threads is validated but runs one sweep after another: the sweeps
-    # are pure-Python work, which threads cannot run in parallel
-    rows = [one(task) for task in enumerate(points)]
     header = [
         f"# quatlat {__version__}",
         f"# seed={cfg.seed} delta={cfg.delta!r} box_t={t.t!r}",
@@ -323,7 +308,7 @@ def _cmd_balance(cfg: ExperimentConfig, args) -> str:
         lat = cfg.order_lat
     primes = frozenset(factorize(lat.level())) or frozenset({2})
     spec = balance.BalanceSearchSpec(lat, primes, args.kmax, args.height)
-    res = balance.balanced_search(spec, threads=cfg.threads)
+    res = balance.balanced_search(spec)
     if res is None:
         raise SearchExhausted(
             f"no balanced conjugate found (kmax {args.kmax}, height {args.height})"
@@ -426,38 +411,53 @@ def _cmd_exponent(cfg: ExperimentConfig, args) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        v = 0
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return v
+
+
 def _build_parser() -> _Parser:
+    """Each subcommand offers --out, and only the other flags it reads.
+
+    --config goes to the subcommands that read the config.  --threads is
+    accepted by count and balance for compatibility and changes nothing:
+    the work is pure-Python arithmetic, which threads cannot run in parallel.
+    """
     parser = _Parser(prog="quatlat", description="quaternion lattice experiments")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None)
+    def add(name, config=True):
+        p = sub.add_parser(name)
+        if config:
+            p.add_argument("--config", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--lmax", type=int, default=None)
-        p.add_argument("--squares", action="store_true")
+        return p
 
-    for name in ("algebra", "order"):
-        common(sub.add_parser(name))
-    p_count = sub.add_parser("count")
-    common(p_count)
+    add("algebra")
+    add("order")
+    p_count = add("count")
+    p_count.add_argument("--seed", type=int, default=None)
+    p_count.add_argument("--threads", type=_positive_int, default=None)
+    p_count.add_argument("--delta", type=float, default=None)
+    p_count.add_argument("--lmax", type=int, default=None)
+    p_count.add_argument("--squares", action="store_true")
     p_count.add_argument("--timing", action="store_true")
-    p_bal = sub.add_parser("balance")
-    common(p_bal)
+    p_bal = add("balance")
+    p_bal.add_argument("--threads", type=_positive_int, default=None)
     p_bal.add_argument("--order", default=None)
     p_bal.add_argument("--kmax", type=int, default=3)
     p_bal.add_argument("--height", type=int, default=64)
-    p_cop = sub.add_parser("coprime")
-    common(p_cop)
+    p_cop = add("coprime", config=False)
     p_cop.add_argument("--in", dest="infile", default=None)
-    p_amp = sub.add_parser("amp")
-    common(p_amp)
+    p_amp = add("amp")
     p_amp.add_argument("--lambda", dest="lam", required=True)
     p_amp.add_argument("--satake", default=None)
-    p_exp = sub.add_parser("exponent")
-    common(p_exp)
+    p_exp = add("exponent", config=False)
     p_exp.add_argument("--n", required=True)
     p_exp.add_argument(
         "--mode",
@@ -487,15 +487,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = _PARSER.parse_args(argv)
-        overrides = {
-            "seed": args.seed,
-            "threads": args.threads,
-            "delta": args.delta,
-            "lmax": args.lmax,
-            "squares": args.squares,
-        }
         handler, need_lattice = _DISPATCH[args.cmd]
-        cfg = load_config(args.config, overrides, need_lattice=need_lattice)
+        cfg = load_config(args, need_lattice=need_lattice)
         text = handler(cfg, args)
         _atomic_write(args.out, text)
         return 0

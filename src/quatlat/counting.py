@@ -351,7 +351,9 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
     One pass over the trace-zero projection serves every norm at once: a
     slice fixes the trace-zero part, the hyperbolic condition becomes a
     two-sided window on the scalar part, and each surviving candidate is
-    confirmed with the shared exact test.  The bound is checked against the
+    confirmed with the shared exact test.  The walk's box serves the largest
+    norm; a counted element of norm m outside the box ceil(t sqrt(m)) that
+    t certifies raises TheoremViolation.  The bound is checked against the
     split companion lattice, rescaling norms by 4 when the query lattice is
     strictly larger (doubling embeds it into the companion).
     """
@@ -373,7 +375,6 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
     f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
     pre_delta = q.delta + PREFILTER_SLACK
     c_hi = 4.0 * pre_delta + 2.0
-    box_cache: dict[int, int] = {}
     for wv, j, qs in traceless_slices(q.lat, height):
         h2_cap = dd * max_norm - qs
         if h2_cap < 0:
@@ -397,15 +398,7 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
                 if num <= 0 or num % dd:
                     continue
                 m = num // dd
-                if m < 1 or m > max_norm:
-                    continue
                 if q.squares_only and not is_square(m):
-                    continue
-                hm = box_cache.get(m)
-                if hm is None:
-                    hm = sqrt_ceil_of_product(t.t, m) * den
-                    box_cache[m] = hm
-                if abs(h) > hm or any(abs(c) > hm for c in wv):
                     continue
                 # 2 h^2 + F <= (4 delta + 2) den^2 m on the integers first, so
                 # only ball members (plus the slack) become Quats
@@ -413,6 +406,15 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
                     continue
                 alpha = order.quat_from_frame((h, w0, w1, w2), den)
                 if in_ball(alpha, q.z, q.delta):
+                    # the walk's height serves max_norm; t certifies the
+                    # tighter ceil(t sqrt(m)) box for each norm m met
+                    hm = sqrt_ceil_of_product(t.t, m) * den
+                    if abs(h) > hm or any(abs(c) > hm for c in wv):
+                        raise TheoremViolation(
+                            f"{alpha} of norm {m} moves z = ({q.z.x!r}, "
+                            f"{q.z.y!r}) by at most delta = {q.delta!r} but "
+                            f"lies outside the box of t = {t.t!r}"
+                        )
                     counts[m] = counts.get(m, 0) + 1
     total = sum(counts.values())
     if split_query:

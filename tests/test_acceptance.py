@@ -346,9 +346,7 @@ def test_criterion_07_balance(alg, mo):
     for p in (5, 7, 11):
         for n in (2, 3, 4):
             lat = _eichler_power_order(mo, p, n)
-            res = balanced_search(
-                BalanceSearchSpec(lat, frozenset({p}), 2, 16), threads=1
-            )
+            res = balanced_search(BalanceSearchSpec(lat, frozenset({p}), 2, 16))
             assert res is not None
             gamma, conj = res
             assert gamma.nrd() == p ** (n // 2)

@@ -116,16 +116,6 @@ def test_unbalanced_eichler_gets_balanced(mo):
         assert conj.is_order()
 
 
-def test_search_respects_threads(mo):
-    lat = eichler_order(mo, 25)[0]
-    spec = BalanceSearchSpec(lat, frozenset({5}), 3, 64)
-    seq = balanced_search(spec, threads=1)
-    par = balanced_search(spec, threads=4)
-    assert seq is not None and par is not None
-    assert seq[0] == par[0]  # deterministic winner regardless of pool size
-    assert seq[1] == par[1]
-
-
 def test_spec_validation(mo):
     lat = eichler_order(mo, 25)[0]
     with pytest.raises(UsageError):

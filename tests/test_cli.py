@@ -4,6 +4,7 @@ Everything runs in-process through quatlat.cli.main so exit codes and
 output bytes are exactly what a shell user would see.
 """
 
+import argparse
 import json
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from quatlat import eichler_order
-from quatlat.cli import ZBox, main, parse_factored, sample_points
+from quatlat.cli import _PARSER, ZBox, main, parse_factored, sample_points
 from quatlat.errors import UsageError
 
 
@@ -237,47 +238,67 @@ def test_out_file_is_only_written_on_success(tmp_path):
 
 
 MALFORMED = [
-    # (label, argv, config JSON or None, QUATLAT_THREADS or None)
-    ("amp-lambda-not-rational", ["amp", "--lambda", "abc"], None, None),
-    ("amp-lambda-zero-denominator", ["amp", "--lambda", "1/0"], None, None),
-    ("lmax-not-integer", ["count"], {"sweep": {"l_max": "x"}}, None),
-    ("lmax-fractional", ["count"], {"sweep": {"l_max": 2.5}}, None),
-    ("lmax-boolean", ["count"], {"sweep": {"l_max": True}}, None),
-    ("samples-not-integer", ["count"], {"sweep": {"samples": [2]}}, None),
-    ("sweep-not-object", ["count"], {"sweep": 3}, None),
-    ("threads-config-not-integer", ["count"], {"threads": "two"}, None),
-    ("threads-env-not-integer", ["count"], None, "four"),
-    ("algebra-short-list", ["algebra"], {"algebra": [3]}, None),
-    ("algebra-entry-not-integer", ["algebra"], {"algebra": ["x", -1]}, None),
-    ("algebra-missing-key", ["algebra"], {"algebra": {"p": 3}}, None),
-    ("config-not-object", ["algebra"], [3, -1], None),
-    ("z-box-not-list", ["count"], {"z_box": "wide"}, None),
-    ("delta-not-rational", ["count"], {"delta": "small"}, None),
-    ("order-mat-not-list", ["order"], {"order": {"mat": 7}}, None),
+    # (label, argv, config JSON or None)
+    ("amp-lambda-not-rational", ["amp", "--lambda", "abc"], None),
+    ("amp-lambda-zero-denominator", ["amp", "--lambda", "1/0"], None),
+    ("lmax-not-integer", ["count"], {"sweep": {"l_max": "x"}}),
+    ("lmax-fractional", ["count"], {"sweep": {"l_max": 2.5}}),
+    ("lmax-boolean", ["count"], {"sweep": {"l_max": True}}),
+    ("samples-not-integer", ["count"], {"sweep": {"samples": [2]}}),
+    ("sweep-not-object", ["count"], {"sweep": 3}),
+    ("algebra-short-list", ["algebra"], {"algebra": [3]}),
+    ("algebra-entry-not-integer", ["algebra"], {"algebra": ["x", -1]}),
+    ("algebra-missing-key", ["algebra"], {"algebra": {"p": 3}}),
+    ("config-not-object", ["algebra"], [3, -1]),
+    ("z-box-not-list", ["count"], {"z_box": "wide"}),
+    ("delta-not-rational", ["count"], {"delta": "small"}),
+    ("order-mat-not-list", ["order"], {"order": {"mat": 7}}),
+    # flags the subcommand does not offer, and a --threads that is not positive
+    ("exponent-lmax", ["exponent", "--n", "2^4", "--lmax", "3"], None),
+    ("algebra-threads", ["algebra", "--threads", "2"], None),
+    ("coprime-config", ["coprime", "--config", "x.json"], None),
+    ("balance-threads-0", ["balance", "--threads", "0"], None),
+    ("count-threads-not-integer", ["count", "--threads", "two"], None),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,config,threads_env", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
+    "argv,config", [case[1:] for case in MALFORMED], ids=[c[0] for c in MALFORMED]
 )
-def test_malformed_inputs_exit_1_without_traceback(
-    tmp_path, capsys, monkeypatch, argv, config, threads_env
-):
+def test_malformed_inputs_exit_1_without_traceback(tmp_path, capsys, argv, config):
     argv = list(argv)
     if config is not None:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv += ["--config", str(cfg)]
-    if threads_env is None:
-        monkeypatch.delenv("QUATLAT_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("QUATLAT_THREADS", threads_env)
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+OPTIONS = {
+    "algebra": {"--config", "--out"},
+    "order": {"--config", "--out"},
+    "count": {"--config", "--out", "--seed", "--threads", "--delta", "--lmax",
+              "--squares", "--timing"},
+    "balance": {"--config", "--out", "--threads", "--order", "--kmax", "--height"},
+    "coprime": {"--in", "--out"},
+    "amp": {"--config", "--out", "--lambda", "--satake"},
+    "exponent": {"--out", "--n", "--mode", "--m"},
+}
+
+
+def test_each_subcommand_offers_only_the_options_it_reads():
+    sub = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {
+        name: {s for a in p._actions if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    assert offered == OPTIONS
 
 
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):

@@ -33,7 +33,7 @@ from quatlat import (
 from quatlat.arith import sqrt_ceil_of_product
 from quatlat.cli import sample_points
 from quatlat.counting import _max_divisor_count, _pair_det
-from quatlat.errors import SearchExhausted, UsageError
+from quatlat.errors import SearchExhausted, TheoremViolation, UsageError
 from quatlat.quat import apply_quat
 
 from oracles import naive_norm_elements
@@ -188,6 +188,22 @@ def test_counted_elements_really_move_little(mo):
         for a in enumerate_norm_ball(lat, m, Z0, delta, t):
             assert a.nrd() == m
             assert u_dist(Z0, apply_quat(a, Z0)) <= delta + 1e-9
+
+
+def test_sweep_raises_on_a_ball_element_outside_its_norm_box(mo):
+    # t = 1 is below the certified constant: a norm-7 ball element exceeds
+    # the norm-7 box ceil(sqrt 7) but lies inside the walk's box ceil(sqrt 10)
+    small = BoxConstant(1.0, 1.0)
+    lat = mo.lattice
+    escaped = [
+        a for a in enumerate_norm_ball(lat, 7, Z0, 1.0, frame_bc(mo, 1.0))
+        if sqrt_ceil_of_product(1.0, 7)
+        < max(abs(c) for c in mo.frame_coords(a))
+        <= sqrt_ceil_of_product(1.0, 10)
+    ]
+    assert escaped
+    with pytest.raises(TheoremViolation, match="outside the box"):
+        sweep_counts(CountQuery(lat, Z0, 1.0, 10), build_injection(lat), small)
 
 
 def test_witness_shape_mismatch_rejected(mo):
