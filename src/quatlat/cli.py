@@ -449,9 +449,17 @@ def _build_parser() -> _Parser:
     p_count.add_argument("--timing", action="store_true")
     p_bal = add("balance")
     p_bal.add_argument("--threads", type=_positive_int, default=None)
-    p_bal.add_argument("--order", default=None)
-    p_bal.add_argument("--kmax", type=int, default=3)
-    p_bal.add_argument("--height", type=int, default=64)
+    p_bal.add_argument(
+        "--order", default=None,
+        help='order file, JSON {"den": d, "mat": [16 ints]} of (1, I, J, IJ) '
+        "coordinates times d (default: the configured order)")
+    p_bal.add_argument(
+        "--kmax", type=int, default=3,
+        help="largest total exponent of a candidate conjugator norm (default 3)")
+    p_bal.add_argument(
+        "--height", type=int, default=64,
+        help="coordinate cap; the search runs at heights 2, 4, 8, ... and "
+        "finally at the cap (default 64)")
     p_cop = add("coprime", config=False)
     p_cop.add_argument("--in", dest="infile", default=None)
     p_amp = add("amp")

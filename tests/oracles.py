@@ -54,26 +54,54 @@ def naive_norm_elements(lat: Lattice4, m: int, height: int):
     the package (every scaled coordinate at most height * den in absolute
     value, reduced norm exactly m).
     """
+    return naive_norm_table(lat, height).get(m, [])
+
+
+def naive_norm_table(lat: Lattice4, height: int) -> dict:
+    """naive_norm_elements for every reduced norm at once: norm -> sorted list.
+
+    One pass over the full scaled coordinate box, testing each integer point
+    for membership before building its element.
+    """
     den = lat.den
     bound = height * den
-    out = []
+    quat = lat.order.quat_from_frame
+    out = {}
     rng = range(-bound, bound + 1)
     for h in rng:
         for w1 in rng:
             for w2 in rng:
                 for w3 in rng:
-                    coords = (
-                        Fraction(h, den),
-                        Fraction(w1, den),
-                        Fraction(w2, den),
-                        Fraction(w3, den),
-                    )
-                    if not lat.contains_coords(coords):
-                        continue
-                    if lat.order.quat_from_frame(coords).nrd() == m:
-                        out.append(coords)
-    out.sort()
+                    num = (h, w1, w2, w3)
+                    if lat._contains(num, den):
+                        coords = tuple(Fraction(v, den) for v in num)
+                        out.setdefault(quat(num, den).nrd(), []).append(coords)
+    for elements in out.values():
+        elements.sort()
     return out
+
+
+def naive_quat_mul(a: int, b: int, x, y) -> tuple:
+    """Product of (1, I, J, IJ) coordinate tuples in the algebra I^2 = a, J^2 = b."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+def naive_left_ideal_gens(a: int, b: int, basis, gamma, n: int) -> list:
+    """Generators {b_i gamma} and {n b_i} of O gamma + nO, as Fraction rows.
+
+    basis and gamma are (1, I, J, IJ) coordinates of a basis of O and of
+    gamma; the products are taken with naive_quat_mul.
+    """
+    return [list(naive_quat_mul(a, b, bi, gamma)) for bi in basis] + [
+        [n * v for v in bi] for bi in basis
+    ]
 
 
 def eval_combo(combo, sample) -> Fraction:

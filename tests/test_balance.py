@@ -1,11 +1,19 @@
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import product
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
 
+from oracles import naive_left_ideal_gens, naive_norm_table, row_span_equal, sympy_row_hnf
 from quatlat import (
     BalanceSearchSpec,
+    QuatAlg,
     balanced_search,
+    default_maximal_order,
     eichler_invariant_profile,
     eichler_order,
     ideal_power_order,
@@ -16,9 +24,15 @@ from quatlat import (
 )
 from quatlat import balance
 from quatlat.arith import factorize
-from quatlat.balance import _candidate_norms, _class_key, _try_conjugator
+from quatlat.balance import (
+    _candidate_norms,
+    _ideal_key,
+    _local_maps,
+    _split_images,
+    _try_conjugator,
+)
 from quatlat.errors import TheoremViolation, UsageError
-from quatlat.lattice import norm_keys
+from quatlat.lattice import _solve_int, _vecmat, norm_keys
 
 
 def _power_order(mo, p, n):
@@ -151,19 +165,25 @@ def test_class_search_matches_every_element_search(mo):
     assert found == 12  # 11^4 and 13^4 miss at height 8
 
 
-def test_equal_class_keys_give_equal_verdicts(mo):
-    # g' = g mod nO with nrd(g) = nrd(g') = n: g' g^-1 is a unit of O, and
+def _ideal_classes(mo, n, height):
+    """Candidates of norm n up to height, grouped by their left-ideal key."""
+    mo_lat = mo.lattice
+    local = _local_maps(mo_lat, n, {})
+    classes = {}
+    for key in norm_keys(mo_lat, n, height):
+        gamma = mo.quat_from_frame(key, mo_lat.den)
+        classes.setdefault(_ideal_key(mo_lat, key, local), []).append(gamma)
+    return classes
+
+
+def test_equal_ideal_keys_give_equal_verdicts(mo):
+    # O g' = O g with nrd(g) = nrd(g') = n: g' g^-1 is a unit of O, and
     # conjugating by g' is conjugating by g, then by that unit
     pairs = positive = 0
     for n, p in ((5, 5), (7, 7), (25, 5)):
         lats = [_power_order(mo, p, 2), _power_order(mo, p, 4)]
-        mo_lat = mo.lattice
-        classes = {}
-        for key in norm_keys(mo_lat, n, 4):
-            gamma = mo.quat_from_frame(key, mo_lat.den)
-            classes.setdefault(_class_key(mo_lat, key, n), []).append(gamma)
-        for members in classes.values():
-            for g, g2 in combinations(members, 2):
+        for g, *others in _ideal_classes(mo, n, 4).values():
+            for g2 in others:  # each against the first: verdicts are transitive
                 u = g2 * g.inverse()
                 assert mo.lattice.contains_quat(u) and u.nrd() == 1
                 for lat in lats:
@@ -176,14 +196,69 @@ def test_equal_class_keys_give_equal_verdicts(mo):
     assert pairs > 0 and positive > 0  # neither side of the verdict is vacuous
 
 
-def test_class_key_rejects_elements_outside_the_order(mo):
+def test_ideal_key_rejects_elements_outside_the_order(mo):
     # the den-scaled frame tuple of 1/2, which the maximal order does not hold
     mo_lat = mo.lattice
     assert mo_lat.den % 2 == 0
     half = (mo_lat.den // 2, 0, 0, 0)
     assert not mo_lat.contains_coords((Fraction(1, 2), 0, 0, 0))
-    with pytest.raises(TheoremViolation):
-        _class_key(mo_lat, half, 5)
+    for n in (5, 4, 10):  # a split prime, the fallback prime 2, and both
+        with pytest.raises(TheoremViolation):
+            _ideal_key(mo_lat, half, _local_maps(mo_lat, n, {}))
+
+
+def _basis_coords(mo_lat, x):
+    """Integer coordinates of x in the basis of mo_lat."""
+    num = tuple(v * mo_lat.den for v in mo_lat.order.frame_coords(x))
+    assert all(v.denominator == 1 for v in num)
+    coords = _solve_int(mo_lat.mat, [int(v) for v in num])
+    assert coords is not None
+    return coords
+
+
+def _mat_mod(m, q):
+    return tuple(v % q for v in m)
+
+
+def _mat_mul_mod(m, n, q):
+    return _mat_mod(
+        (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+         m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3]), q)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+@pytest.mark.parametrize("e", [1, 2, 3])
+def test_splitting_is_an_isomorphism_onto_matrices(mo, p, e):
+    mo_lat = mo.lattice
+    q = p**e
+    images = _split_images(mo_lat, p, e)
+    assert images is not None
+    (_, _, columns), = _local_maps(mo_lat, q, {})
+
+    def phi(x):
+        return _mat_mod(_vecmat(_basis_coords(mo_lat, x), columns), q)
+
+    basis = mo_lat.basis_quats()
+    for b, image in zip(basis, images):
+        assert phi(b) == image
+        assert (image[0] * image[3] - image[1] * image[2] - b.nrd()) % q == 0
+    assert phi(mo.alg.one()) == (1, 0, 0, 1)
+    for bi, bj in product(basis, repeat=2):
+        assert phi(bi * bj) == _mat_mul_mod(phi(bi), phi(bj), q)
+    # the four images span M2(Z/p^e): their 4x4 determinant is a unit
+    assert Matrix([list(m) for m in images]).det() % p != 0
+
+
+@pytest.mark.parametrize("a, b, p", [(3, -5, 3), (3, -7, 2)])
+def test_unsplit_primes_fall_back_to_classes(a, b, p):
+    mo = default_maximal_order(QuatAlg(a, b))
+    assert all(_split_images(mo.lattice, p, e) is None for e in (1, 2, 3))
+    for k in (2, 3, 4):
+        lat = _power_order(mo, p, k)
+        spec = BalanceSearchSpec(lat, frozenset({p}), 2, 8)
+        res = balanced_search(spec)
+        assert res is not None
+        assert res == _search_every_element(spec)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -206,6 +281,8 @@ def test_search_builds_one_quat_per_class_tried(mo, monkeypatch, p):
     monkeypatch.setattr(balance, "_try_conjugator", counting_try)
     assert balanced_search(spec) == want
     assert tried and len(built) <= len(tried)
+    # one conjugator per left ideal met before the first hit
+    assert len(tried) == {5: 20, 7: 48}[p]
 
 
 def test_height_one_search_tries_candidates(mo, monkeypatch):
@@ -220,3 +297,86 @@ def test_height_one_search_tries_candidates(mo, monkeypatch):
     monkeypatch.setattr(balance, "_try_conjugator", counting)
     balanced_search(BalanceSearchSpec(lat, frozenset({2, 5}), 2, 1))
     assert len(calls) >= 1
+
+
+KEY_NORMS = (2, 3, 5, 6, 7, 10, 25, 35, 49)
+
+
+@lru_cache(maxsize=None)
+def _oracle_ideals(mo):
+    """Per norm n: the oracle's norm-n elements of O with their left ideals.
+
+    Elements come from naive_norm_table at height 6 (the first height with
+    norm 49), plus 5 u for the units u of height at most 2 that 5 u does
+    not already bring within height 6, so non-primitive generators of 5O
+    are among the norm-25 ones.  Each element carries its package key and
+    the Hermite form of its naive generators of O gamma + nO (equal to O
+    gamma), scaled by one common denominator per norm.
+    """
+    a, b = mo.alg.p, mo.alg.q
+    mo_lat = mo.lattice
+
+    def ijk(frame):
+        return [sum(c * v[i] for c, v in zip(frame, mo.basis)) for i in range(4)]
+
+    basis = [ijk([Fraction(v, mo_lat.den) for v in row]) for row in mo_lat.mat]
+    table = naive_norm_table(mo_lat, 6)
+    out = {}
+    for n in KEY_NORMS:
+        elements = list(table[n])
+        if n == 25:
+            elements += [tuple(5 * c for c in u) for u in table[1]
+                         if max(map(abs, u)) <= 2 and max(map(abs, u)) > Fraction(6, 5)]
+        gens = [naive_left_ideal_gens(a, b, basis, ijk(g), n) for g in elements]
+        d = lcm(*(v.denominator for rows in gens for row in rows for v in row))
+        local = _local_maps(mo_lat, n, {})
+        out[n] = [
+            (
+                _ideal_key(mo_lat, [int(c * mo_lat.den) for c in g], local),
+                tuple(map(tuple, sympy_row_hnf([[int(v * d) for v in row] for row in rows]))),
+                rows,
+            )
+            for g, rows in zip(elements, gens)
+        ]
+    return out
+
+
+def _split_everywhere(mo, n):
+    alg = mo.alg
+    return all(p != 2 and (alg.p * alg.q * alg.discriminant) % p for p in factorize(n))
+
+
+@pytest.mark.parametrize("n", KEY_NORMS)
+def test_ideal_key_partitions_like_the_left_ideal_oracle(mo, n):
+    # over every oracle element: equal keys always mean equal ideals, and
+    # where every p | n splits, equal ideals mean equal keys
+    entries = _oracle_ideals(mo)[n]
+    assert len(entries) > 1
+    by_key, by_ideal = {}, {}
+    for key, ideal, _ in entries:
+        by_key.setdefault(key, set()).add(ideal)
+        by_ideal.setdefault(ideal, set()).add(key)
+    assert all(len(ideals) == 1 for ideals in by_key.values())
+    if _split_everywhere(mo, n):
+        assert all(len(keys) == 1 for keys in by_ideal.values())
+    if n == 25:  # 5O, generated by the 5 u, is one of them, keyed apart
+        assert sum(key == (("p", ()),) for key, _, _ in entries) > 1
+        assert len({ideal for key, ideal, _ in entries if key == (("p", ()),)}) == 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(mo, data):
+    n = data.draw(st.sampled_from(KEY_NORMS))
+    entries = _oracle_ideals(mo)[n]
+    key, ideal, rows = data.draw(st.sampled_from(entries))
+    # half the draws pick a generator of the same ideal, so equality is hit
+    pool = [e for e in entries if e[1] == ideal] if data.draw(st.booleans()) else entries
+    key2, _, rows2 = data.draw(st.sampled_from(pool))
+    d = lcm(*(v.denominator for r in rows + rows2 for v in r))
+    same = row_span_equal([[int(v * d) for v in r] for r in rows],
+                          [[int(v * d) for v in r] for r in rows2])
+    if key == key2:
+        assert same
+    if same and _split_everywhere(mo, n):
+        assert key == key2

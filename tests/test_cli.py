@@ -301,6 +301,19 @@ def test_each_subcommand_offers_only_the_options_it_reads():
     assert offered == OPTIONS
 
 
+def test_balance_help_describes_its_search_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["balance", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, words in (
+        ("--order", '{"den": d, "mat": [16 ints]}'),
+        ("--kmax", "largest total exponent of a candidate conjugator norm"),
+        ("--height", "heights 2, 4, 8, ... and finally at the cap"),
+    ):
+        assert flag in text and words in text
+
+
 def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
     code = main(["exponent", "--n", "2^4", "--out", str(tmp_path / "missing" / "x.txt")])
     assert code == 1
