@@ -138,8 +138,13 @@ def _split_images(mo_lat: Lattice4, p: int, e: int):
     x^2 - a y^2 = b mod p^e extend to a ring map O -> M2(Z/p^e), which is
     onto exactly when the four basis images have a unit determinant mod p;
     then it induces O / p^e O = M2(Z/p^e).  A matrix is the tuple
-    (m00, m01, m10, m11).  Every other prime (2, and the divisors of a b
-    disc) gives None, and _ideal_key falls back to the class mod p^e O there.
+    (m00, m01, m10, m11).  The map is read off the basis's (1, I, J, IJ)
+    coordinates.  When none has p in its denominator, O_p lies in
+    Z_p<I, J>, which is maximal at p, so the two agree and the images span;
+    an order such as gamma O gamma^-1 with p | nrd(gamma) can differ from
+    Z_p<I, J> and then has such a coordinate.  Every other prime (2, the
+    divisors of a b disc, and p in a basis denominator) gives None, and
+    _ideal_key falls back to the class mod p^e O there.
     """
     mo = mo_lat.order
     a, b = mo.alg.p, mo.alg.q
@@ -157,8 +162,7 @@ def _split_images(mo_lat: Lattice4, p: int, e: int):
         g = gcd(den, *num)
         num, den = [v // g for v in num], den // g
         if den % p == 0:
-            raise TheoremViolation(
-                f"maximal order element {num} / {den} is not integral at {p}")
+            return None
         inv = pow(den, -1, q)
         images.append(tuple(v * inv % q for v in _vecmat(num, ijk_cols)))
     if det(images) % p == 0:

@@ -32,7 +32,7 @@ from quatlat.balance import (
     _try_conjugator,
 )
 from quatlat.errors import TheoremViolation, UsageError
-from quatlat.lattice import _solve_int, _vecmat, norm_keys
+from quatlat.lattice import MaximalOrder, _solve_int, _vecmat, norm_keys
 
 
 def _power_order(mo, p, n):
@@ -249,6 +249,25 @@ def test_splitting_is_an_isomorphism_onto_matrices(mo, p, e):
     assert Matrix([list(m) for m in images]).det() % p != 0
 
 
+@pytest.mark.parametrize("p, split", [(5, False), (7, True)])
+def test_conjugated_maximal_order_falls_back_where_it_leaves_the_standard_order(mo, p, split):
+    # g O g^-1 with nrd(g) = 5 differs from Z<I, J> at 5, where a basis
+    # coordinate has 5 in its denominator; at 7 it still splits
+    g = mo.alg.quat(2, 0, 1, 0)
+    assert g.nrd() == 5
+    conj_mo = MaximalOrder(mo.alg, [list((g * b * g.inverse()).coords())
+                                    for b in mo.lattice.basis_quats()])
+    assert conj_mo.lattice != mo.lattice
+    assert all((_split_images(conj_mo.lattice, p, e) is not None) == split for e in (1, 2, 3))
+    for k in (2, 3, 4):
+        lat = _power_order(conj_mo, p, k)
+        assert not lat.is_balanced()
+        spec = BalanceSearchSpec(lat, frozenset({p}), 2, 8)
+        res = balanced_search(spec)
+        assert res is not None
+        assert res == _search_every_element(spec)
+
+
 @pytest.mark.parametrize("a, b, p", [(3, -5, 3), (3, -7, 2)])
 def test_unsplit_primes_fall_back_to_classes(a, b, p):
     mo = default_maximal_order(QuatAlg(a, b))
@@ -346,27 +365,11 @@ def _split_everywhere(mo, n):
     return all(p != 2 and (alg.p * alg.q * alg.discriminant) % p for p in factorize(n))
 
 
-@pytest.mark.parametrize("n", KEY_NORMS)
-def test_ideal_key_partitions_like_the_left_ideal_oracle(mo, n):
-    # over every oracle element: equal keys always mean equal ideals, and
-    # where every p | n splits, equal ideals mean equal keys
-    entries = _oracle_ideals(mo)[n]
-    assert len(entries) > 1
-    by_key, by_ideal = {}, {}
-    for key, ideal, _ in entries:
-        by_key.setdefault(key, set()).add(ideal)
-        by_ideal.setdefault(ideal, set()).add(key)
-    assert all(len(ideals) == 1 for ideals in by_key.values())
-    if _split_everywhere(mo, n):
-        assert all(len(keys) == 1 for keys in by_ideal.values())
-    if n == 25:  # 5O, generated by the 5 u, is one of them, keyed apart
-        assert sum(key == (("p", ()),) for key, _, _ in entries) > 1
-        assert len({ideal for key, ideal, _ in entries if key == (("p", ()),)}) == 1
-
-
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(mo, data):
+    # equal keys always mean equal ideals, and where every p | n splits,
+    # equal ideals mean equal keys
     n = data.draw(st.sampled_from(KEY_NORMS))
     entries = _oracle_ideals(mo)[n]
     key, ideal, rows = data.draw(st.sampled_from(entries))
@@ -380,3 +383,6 @@ def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(mo, data):
         assert same
     if same and _split_everywhere(mo, n):
         assert key == key2
+    if n == 25:  # 5O, generated by the 5 u, is one of them, keyed apart
+        five_o = {e[1] for e in entries if e[0] == (("p", ()),)}
+        assert sum(e[0] == (("p", ()),) for e in entries) > 1 and len(five_o) == 1
