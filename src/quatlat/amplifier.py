@@ -93,12 +93,6 @@ class HeckeCombo:
     def support(self) -> tuple[int, ...]:
         return tuple(l for l, _ in self.coeffs)
 
-    def coeff(self, l: int) -> Cx:
-        for k, c in self.coeffs:
-            if k == l:
-                return c
-        return Cx(Fraction(0))
-
     def __add__(self, other: "HeckeCombo") -> "HeckeCombo":
         if self.bad != other.bad:
             raise UsageError("combos declare different bad sets")
@@ -110,13 +104,6 @@ class HeckeCombo:
 
     def adjoint(self) -> "HeckeCombo":
         return HeckeCombo(tuple((l, v.conj()) for l, v in self.coeffs), self.bad)
-
-    def apply(self, s: "SatakeSample") -> Cx:
-        """Eigenvalue of the combination on an eigenform with the given data."""
-        total = Cx(Fraction(0))
-        for l, c in self.coeffs:
-            total = total + c * Cx(s.lam(l))
-        return total
 
 
 def kappa(l: int, bad: frozenset[int] = frozenset()) -> HeckeCombo:

@@ -44,7 +44,7 @@ def smith_condition(ord_prime: Lattice4) -> bool:
     at p, requires m3 <= ceil((m1 + m2 + m3) / 2).  Equivalent to the
     divisibility form of balancedness, prime by prime.
     """
-    inv = ord_prime.invariant_factors_in(ord_prime.order.lattice)
+    inv = ord_prime.invariant_factors
     a2, a3, a4 = inv.factors[1], inv.factors[2], inv.factors[3]
     index = a2 * a3 * a4
     for p in factorize(index):

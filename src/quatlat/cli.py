@@ -112,7 +112,8 @@ class ExperimentConfig:
     seed: int
 
 
-def _lattice_rows(obj, what: str):
+def _lattice_rows(obj, what: str) -> tuple[list[list[int]], int]:
+    """Integer (1, I, J, IJ) rows and their denominator from {"mat", "den"}."""
     if not isinstance(obj, dict) or "mat" not in obj:
         raise UsageError(f"{what} must be an object with 'mat' (16 integers) and 'den'")
     mat = obj["mat"]
@@ -121,7 +122,7 @@ def _lattice_rows(obj, what: str):
         raise UsageError(f"{what}.mat must hold exactly 16 integers")
     if not isinstance(den, int) or den < 1:
         raise UsageError(f"{what}.den must be a positive integer")
-    return [[Fraction(mat[4 * i + j], den) for j in range(4)] for i in range(4)]
+    return [mat[4 * i:4 * i + 4] for i in range(4)], den
 
 
 def _read_json(path: str, what: str):
@@ -150,8 +151,8 @@ def load_config(args, need_lattice: bool = True) -> ExperimentConfig:
     mo = order_lat = None
     if need_lattice:
         if "maximal_order" in raw:
-            rows = _lattice_rows(raw["maximal_order"], "maximal_order")
-            mo = MaximalOrder(alg, rows)
+            rows, den = _lattice_rows(raw["maximal_order"], "maximal_order")
+            mo = MaximalOrder(alg, [[Fraction(v, den) for v in row] for row in rows])
         else:
             mo = default_maximal_order(alg)
             log.info(
@@ -160,9 +161,7 @@ def load_config(args, need_lattice: bool = True) -> ExperimentConfig:
                 mo.discriminant,
             )
         if "order" in raw:
-            rows = _lattice_rows(raw["order"], "order")
-            quats = [alg.quat(*r) for r in rows]
-            order_lat = mo.lattice_from_quats(quats)
+            order_lat = mo.lattice_from_ijk(*_lattice_rows(raw["order"], "order"))
         else:
             order_lat = mo.lattice
     delta = float(_to_fraction(raw.get("delta", 1)))
@@ -258,7 +257,7 @@ def _cmd_algebra(cfg: ExperimentConfig, args) -> str:
 def _cmd_order(cfg: ExperimentConfig, args) -> str:
     lat = cfg.order_lat
     sh = lat.shape()
-    inv = lat.invariant_factors_in(cfg.mo.lattice)
+    inv = lat.invariant_factors
     lines = [
         f"level: {lat.level()}",
         f"shape: {sh.tuple3()} (split index co-factor {sh.e})",
@@ -302,8 +301,7 @@ def _cmd_count(cfg: ExperimentConfig, args) -> str:
 def _cmd_balance(cfg: ExperimentConfig, args) -> str:
     if args.order:
         raw = _read_json(args.order, "order file")
-        rows = _lattice_rows(raw, "order")
-        lat = cfg.mo.lattice_from_quats([cfg.alg.quat(*r) for r in rows])
+        lat = cfg.mo.lattice_from_ijk(*_lattice_rows(raw, "order"))
     else:
         lat = cfg.order_lat
     primes = frozenset(factorize(lat.level())) or frozenset({2})
@@ -314,8 +312,8 @@ def _cmd_balance(cfg: ExperimentConfig, args) -> str:
             f"no balanced conjugate found (kmax {args.kmax}, height {args.height})"
         )
     gamma, conj = res
-    before = lat.invariant_factors_in(cfg.mo.lattice)
-    after = conj.invariant_factors_in(cfg.mo.lattice)
+    before = lat.invariant_factors
+    after = conj.invariant_factors
     coord_text = ",".join(str(v) for v in gamma.coords())
     lines = [
         f"conjugator: ({coord_text}) (nrd {gamma.nrd()})",

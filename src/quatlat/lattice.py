@@ -64,40 +64,64 @@ def _solve_int(mat, target, scale: int = 1):
     """Integer c with c * (scale * mat) = target, or None when there is none.
 
     mat is a 4x4 upper-triangular Hermite form with nonzero pivots, so the
-    solve is one exact division per column.
+    solve is one exact division per column; u_k = scale * c_k is carried
+    so that the scale multiplies only the pivots.
     """
-    c = []
-    for col in range(4):
-        s = target[col]
-        for i in range(col):
-            s -= scale * c[i] * mat[i][col]
-        piv = scale * mat[col][col]
-        if s % piv:
-            return None
-        c.append(s // piv)
-    return c
+    (m00, m01, m02, m03), (_, m11, m12, m13), (_, _, m22, m23), (_, _, _, m33) = mat
+    t0, t1, t2, t3 = target
+    if t0 % (scale * m00):
+        return None
+    u0 = t0 // m00
+    t1 -= u0 * m01
+    if t1 % (scale * m11):
+        return None
+    u1 = t1 // m11
+    t2 -= u0 * m02 + u1 * m12
+    if t2 % (scale * m22):
+        return None
+    u2 = t2 // m22
+    t3 -= u0 * m03 + u1 * m13 + u2 * m23
+    if t3 % (scale * m33):
+        return None
+    return [u0 // scale, u1 // scale, u2 // scale, t3 // (scale * m33)]
 
 
 class MaximalOrder:
     """A certified maximal order; also the coordinate frame owner.
 
-    basis holds the rational (1, I, J, IJ) coordinates of the frame vectors
-    (1, i1, i2, i3), where i1, i2, i3 is the Hermite basis of the trace-zero
-    part.  The constructor re-checks closure, unit, and the discriminant
-    certificate, so a successfully built instance is genuinely maximal.
+    The frame vectors (1, i1, i2, i3) are the rows of T / den, where
+    T = [[den, 0, 0, 0], mat[1], mat[2], mat[3]] is built from the order's
+    canonical (1, I, J, IJ) Hermite form (mat, den): rows 2-4 of that form
+    are the Hermite basis of the trace-zero part.  The constructor re-checks
+    closure, unit, the discriminant certificate, the trace-zero rows, the
+    even integral trace Gram, the frame denominator and the index of the
+    scalars plus the trace-zero part, so a successfully built instance is
+    genuinely maximal.
 
     The frame maps are kept as integer matrices over one denominator each:
     (1, I, J, IJ) coordinates are frame coordinates times _t_cols / _t_den,
     and frame coordinates are (1, I, J, IJ) coordinates times
-    _f_cols / _f_den (both stored by columns).
+    _f_cols / _f_den (both stored by columns).  basis, i_basis and
+    _from_ijk are rational views of them, built on first access.
     """
 
     def __init__(self, alg: QuatAlg, ijk_rows: list[list[Fraction]]):
+        """The maximal order spanned by rational (1, I, J, IJ) rows."""
+        self._build(alg, *_canonical_rows(ijk_rows))
+
+    @classmethod
+    def _from_canonical(cls, alg: QuatAlg, mat, den: int) -> "MaximalOrder":
+        """The maximal order span(mat) / den, for a canonical (mat, den) pair."""
+        self = cls.__new__(cls)
+        self._build(alg, mat, den)
+        return self
+
+    def _build(self, alg: QuatAlg, mat, den: int) -> None:
         self.alg = alg
-        mat, den = _canonical_rows(ijk_rows)
         if not _raw_is_order(alg, mat, den):
             raise UsageError("basis does not span an order")
-        disc = _raw_reduced_discriminant(alg, mat, den)
+        G = _trace_gram(alg, mat)
+        disc = _reduced_discriminant(G, den)
         if disc != alg.discriminant:
             raise UsageError(
                 f"order has reduced discriminant {disc}, not maximal "
@@ -107,26 +131,31 @@ class MaximalOrder:
         for row in mat[1:]:
             if row[0] != 0:
                 raise TheoremViolation("Hermite rows 2-4 should be trace-zero")
-        self.i_basis = tuple(Quat(alg, row, den) for row in mat[1:])
-        self.basis = ((Fraction(1), Fraction(0), Fraction(0), Fraction(0)),) + tuple(
-            q.coords() for q in self.i_basis
-        )
-        self._t_cols = tuple(zip((den, 0, 0, 0), *mat[1:]))
+        T = ((den, 0, 0, 0),) + tuple(mat[1:])
+        self._t_cols = tuple(zip(*T))
         self._t_den = den
-        self._from_ijk = intmat.inverse_frac([list(r) for r in self.basis])
-        f_flat, self._f_den = over_one_den([v for row in self._from_ijk for v in row])
-        self._f_cols = tuple(zip(*(f_flat[i:i + 4] for i in range(0, 16, 4))))
+        # frame = ijk * den * T^-1; T is upper triangular with nonzero
+        # diagonal, so its adjugate det(T) * T^-1 is integral and comes out
+        # of exact back-substitution, one column of the identity at a time
+        t_det = prod(T[i][i] for i in range(4))
+        adj_cols = []
+        for j in range(4):
+            x = [0] * 4
+            for i in range(3, -1, -1):
+                s = t_det * (i == j) - sum(T[i][k] * x[k] for k in range(i + 1, 4))
+                x[i] = s // T[i][i]
+            adj_cols.append(x)
+        g = gcd(t_det, *(den * v for col in adj_cols for v in col))
+        self._f_cols = tuple(tuple(den * v // g for v in col) for col in adj_cols)
+        self._f_den = t_det // g
         # integer Gram of the trace-zero frame under (x, y) -> trd(x * conj(y))
-        S = [[0] * 3 for _ in range(3)]
-        for k in range(3):
-            for l in range(3):
-                v = (self.i_basis[k] * self.i_basis[l].conj()).trd()
-                if v.denominator != 1:
-                    raise TheoremViolation("trace pairing of integral basis not integral")
-                S[k][l] = int(v)
+        dd = den * den
+        if any(v % dd for row in G[1:] for v in row[1:]):
+            raise TheoremViolation("trace pairing of integral basis not integral")
+        S = tuple(tuple(v // dd for v in row[1:]) for row in G[1:])
         if any(S[k][k] % 2 for k in range(3)):
             raise TheoremViolation("trace form of an integral element must be even")
-        self.gram0 = tuple(tuple(row) for row in S)
+        self.gram0 = S
         frame_rows = [_vecmat(row, self._f_cols) for row in mat]
         fmat, fden = _canonical_int(frame_rows, den * self._f_den)
         self._frame_hnf = (fmat, fden)
@@ -136,6 +165,24 @@ class MaximalOrder:
         k = self.lattice.z_plus_trace_zero().index_in(self.lattice)
         if k != 2:
             raise TheoremViolation(f"index of scalars + trace-zero part is {k}, not 2")
+
+    @cached_property
+    def basis(self) -> tuple[FracRow, ...]:
+        """The (1, I, J, IJ) coordinates of the frame vectors (1, i1, i2, i3)."""
+        den = self._t_den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in zip(*self._t_cols))
+
+    @cached_property
+    def i_basis(self) -> tuple[Quat, Quat, Quat]:
+        """The trace-zero frame vectors i1, i2, i3 as elements."""
+        rows = tuple(zip(*self._t_cols))[1:]
+        return tuple(Quat(self.alg, row, self._t_den) for row in rows)
+
+    @cached_property
+    def _from_ijk(self) -> tuple[FracRow, ...]:
+        """The inverse of basis: (1, I, J, IJ) coordinates times it give frame ones."""
+        den = self._f_den
+        return tuple(tuple(Fraction(v, den) for v in row) for row in zip(*self._f_cols))
 
     @property
     def discriminant(self) -> int:
@@ -170,9 +217,13 @@ class MaximalOrder:
         return tuple(Fraction(v, den) for v in num)
 
     def lattice_from_quats(self, quats: list[Quat]) -> "Lattice4":
-        pairs = [self._frame_num(q) for q in quats]
-        den = lcm(*(d for _, d in pairs))
-        mat, den = _canonical_int([[v * (den // d) for v in num] for num, d in pairs], den)
+        den = lcm(*(q.den for q in quats))
+        return self.lattice_from_ijk([[v * (den // q.den) for v in q.num] for q in quats], den)
+
+    def lattice_from_ijk(self, rows, den: int = 1) -> "Lattice4":
+        """The lattice spanned by integer (1, I, J, IJ) coordinate rows over den."""
+        frame_rows = [_vecmat(row, self._f_cols) for row in rows]
+        mat, den = _canonical_int(frame_rows, den * self._f_den)
         return Lattice4(self, mat, den)
 
     def lattice_from_frame_rows(self, rows) -> "Lattice4":
@@ -272,10 +323,11 @@ class Lattice4:
         """[other : self] for self contained in other."""
         if not self.is_sublattice_of(other):
             raise ContainmentError("not a sublattice")
-        r = self.det_frame() / other.det_frame()
-        if r.denominator != 1:
+        num = prod(self.mat[i][i] for i in range(4)) * other.den**4
+        den = prod(other.mat[i][i] for i in range(4)) * self.den**4
+        if num % den:
             raise TheoremViolation("index of a sublattice must be integral")
-        return int(r)
+        return num // den
 
     def level(self) -> int:
         """Index in the owning maximal order."""
@@ -336,16 +388,34 @@ class Lattice4:
             t1 *= p ** ((e + 1) // 2)
         return InvariantFactors(a, t1)
 
+    @cached_property
+    def invariant_factors(self) -> InvariantFactors:
+        """Invariant factors in the owning maximal order, computed once per lattice."""
+        return self.invariant_factors_in(self.order.lattice)
+
     def is_balanced(self) -> bool:
         """Largest invariant factor in the maximal order divides t1."""
-        f = self.invariant_factors_in(self.order.lattice)
+        f = self.invariant_factors
         return f.t1 % f.factors[3] == 0
 
     def is_order(self) -> bool:
+        """Whether the lattice holds 1 and is closed under multiplication.
+
+        The basis goes to (1, I, J, IJ) numerators X / e with e = den * _t_den;
+        each product X Y / e^2 goes back to frame numerators over
+        e^2 * _f_den and is solved against the Hermite form.
+        """
         if not self.contains_one():
             return False
-        basis = self.basis_quats()
-        return all(self.contains_quat(x * y) for x in basis for y in basis)
+        order = self.order
+        p, q = order.alg.p, order.alg.q
+        t_cols, f_cols = order._t_cols, order._f_cols
+        e = self.den * order._t_den
+        d = e * e * order._f_den
+        basis = [_vecmat(row, t_cols) for row in self.mat]
+        return all(
+            self._contains(_vecmat(mul_num(x, y, p, q), f_cols), d) for x in basis for y in basis
+        )
 
     def reduced_discriminant(self):
         """Square root of |det trd(b_i conj(b_j))|; equals d * level for orders."""
@@ -522,7 +592,7 @@ def saturate_to_maximal(alg: QuatAlg, ijk_rows) -> MaximalOrder:
     while True:
         disc = _raw_reduced_discriminant(alg, mat, den)
         if disc == target:
-            return MaximalOrder(alg, [[Fraction(v, den) for v in row] for row in mat])
+            return MaximalOrder._from_canonical(alg, mat, den)
         excess = disc // target
         for p in factorize(excess):
             grown = _find_integral_extension(alg, mat, den, p)
@@ -734,13 +804,22 @@ def _raw_is_order(alg: QuatAlg, mat, den) -> bool:
     )
 
 
-def _raw_reduced_discriminant(alg: QuatAlg, rows, den):
-    """Square root of |det trd(x_i conj(x_j))| for the basis rows / den."""
+def _trace_gram(alg: QuatAlg, rows) -> list[list[int]]:
+    """den^2 trd(x_i conj(x_j)) for the basis x_i = rows[i] / den, in integers."""
     p, q = alg.p, alg.q
-    G = [
+    return [
         [2 * (x[0] * y[0] - p * x[1] * y[1] - q * x[2] * y[2] + p * q * x[3] * y[3]) for y in rows]
         for x in rows
     ]
+
+
+def _raw_reduced_discriminant(alg: QuatAlg, rows, den):
+    """Square root of |det trd(x_i conj(x_j))| for the basis rows / den."""
+    return _reduced_discriminant(_trace_gram(alg, rows), den)
+
+
+def _reduced_discriminant(G, den: int):
+    """Square root of |det G| / den^4 for an integer trace Gram G = _trace_gram."""
     d = abs(intmat.det(G))
     r = isqrt(d)
     if r * r != d:

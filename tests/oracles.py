@@ -5,7 +5,7 @@ under test never checks itself against its own machinery.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
@@ -102,6 +102,75 @@ def naive_left_ideal_gens(a: int, b: int, basis, gamma, n: int) -> list:
     return [list(naive_quat_mul(a, b, bi, gamma)) for bi in basis] + [
         [n * v for v in bi] for bi in basis
     ]
+
+
+def _over_one_den(rows):
+    """Integer rows and their least positive common denominator, gcd divided out."""
+    d = lcm(*(Fraction(v).denominator for row in rows for v in row))
+    ints = [[int(Fraction(v) * d) for v in row] for row in rows]
+    g = gcd(d, *(v for row in ints for v in row))
+    return [[v // g for v in row] for row in ints], d // g
+
+
+def _frac_inverse(rows) -> list[list[Fraction]]:
+    inv = Matrix([[Fraction(v) for v in row] for row in rows]).inv()
+    return [[Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(4)] for i in range(4)]
+
+
+def naive_frame(a: int, b: int, gens) -> dict:
+    """The frame a maximal order fixes, from rational (1, I, J, IJ) generators.
+
+    On Fractions and sympy only, in the algebra I^2 = a, J^2 = b: the
+    canonical (Hermite form, denominator) pair of the span, the frame basis
+    (1, i1, i2, i3) made of 1 and the form's last three rows, its inverse
+    from sympy, that inverse's integer columns over one denominator, the
+    Gram trd(x conj(y)) of i1, i2, i3, and the order's canonical pair in
+    frame coordinates.
+    """
+    ints, den = _over_one_den(gens)
+    mat = sympy_row_hnf(ints)
+    assert len(mat) == 4 and all(row[0] == 0 for row in mat[1:])
+    basis = [[Fraction(int(k == 0)) for k in range(4)]]
+    basis += [[Fraction(v, den) for v in row] for row in mat[1:]]
+    inv = _frac_inverse(basis)
+    f_den = lcm(*(v.denominator for row in inv for v in row))
+    f_cols = [[int(inv[i][j] * f_den) for i in range(4)] for j in range(4)]
+
+    def trd_conj(x, y):
+        return 2 * naive_quat_mul(a, b, x, (y[0], -y[1], -y[2], -y[3]))[0]
+
+    gram0 = [[trd_conj(x, y) for y in basis[1:]] for x in basis[1:]]
+    frame = [[sum(Fraction(row[i], den) * inv[i][j] for i in range(4)) for j in range(4)]
+             for row in mat]
+    f_ints, f_d = _over_one_den(frame)
+    return {
+        "basis": basis,
+        "from_ijk": inv,
+        "f_cols": f_cols,
+        "f_den": f_den,
+        "gram0": gram0,
+        "frame_hnf": (sympy_row_hnf(f_ints), f_d),
+    }
+
+
+def naive_is_order(lat: Lattice4) -> bool:
+    """1 in lat and lat closed under products, on Fraction coordinates.
+
+    The basis comes to (1, I, J, IJ) coordinates through the order's basis
+    rows, products are naive_quat_mul, and membership is an integral
+    solution of the sympy-inverted basis matrix.
+    """
+    order = lat.order
+    a, b = order.alg.p, order.alg.q
+    basis = [[sum(Fraction(row[i], lat.den) * order.basis[i][j] for i in range(4))
+              for j in range(4)] for row in lat.mat]
+    inv = _frac_inverse(basis)
+
+    def contains(x):
+        return all(sum(x[i] * inv[i][j] for i in range(4)).denominator == 1 for j in range(4))
+
+    one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    return contains(one) and all(contains(naive_quat_mul(a, b, x, y)) for x in basis for y in basis)
 
 
 def eval_combo(combo, sample) -> Fraction:

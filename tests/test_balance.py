@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from quatlat import (
     smith_condition,
     z_plus_f_order,
 )
-from quatlat import balance
+from quatlat import balance, cli, intmat
 from quatlat.arith import factorize
 from quatlat.balance import (
     _candidate_norms,
@@ -32,7 +34,7 @@ from quatlat.balance import (
     _try_conjugator,
 )
 from quatlat.errors import TheoremViolation, UsageError
-from quatlat.lattice import MaximalOrder, _solve_int, _vecmat, norm_keys
+from quatlat.lattice import Lattice4, MaximalOrder, _solve_int, _vecmat, norm_keys
 
 
 def _power_order(mo, p, n):
@@ -386,3 +388,52 @@ def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(mo, data):
     if n == 25:  # 5O, generated by the 5 u, is one of them, keyed apart
         five_o = {e[1] for e in entries if e[0] == (("p", ()),)}
         assert sum(e[0] == (("p", ()),) for e in entries) > 1 and len(five_o) == 1
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize("label", ["e5", "p5n2"])
+def test_balance_takes_one_smith_form_per_lattice(mo, tmp_path, monkeypatch, capsys, label):
+    # the order's invariant factors are computed once and read by the
+    # search, the before/after lines and the balanced/smith line; each
+    # candidate conjugate that reaches is_balanced adds one more
+    lat = eichler_order(mo, 5)[0] if label == "e5" else _power_order(mo, 5, 2)
+    coords = [c for q in lat.basis_quats() for c in q.coords()]
+    den = lcm(*(c.denominator for c in coords))
+    order_file = tmp_path / "order.json"
+    order_file.write_text(json.dumps({"den": den, "mat": [int(c * den) for c in coords]}))
+    snf_calls, reached, in_try = [], [], []
+    snf = intmat.snf_with_transforms
+    is_balanced = Lattice4.is_balanced
+
+    def counting_snf(A):
+        snf_calls.append(A)
+        return snf(A)
+
+    def counting_is_balanced(self):
+        if in_try:
+            reached.append(self)
+        return is_balanced(self)
+
+    def scoped_try(*args):
+        in_try.append(True)
+        try:
+            return _try_conjugator(*args)
+        finally:
+            in_try.pop()
+
+    monkeypatch.setattr(intmat, "snf_with_transforms", counting_snf)
+    monkeypatch.setattr(Lattice4, "is_balanced", counting_is_balanced)
+    monkeypatch.setattr(balance, "_try_conjugator", scoped_try)
+    capsys.readouterr()
+    argv = ["balance", "--order", str(order_file), "--kmax", "2", "--height", "8", "--threads", "2"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.loads(REFERENCES.read_text())["balance"][label]
+    if label == "e5":
+        assert not reached
+        assert len(snf_calls) == 1
+    else:
+        assert reached
+        assert len(snf_calls) == 1 + len(reached)

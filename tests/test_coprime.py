@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlat import CombinationProblem, auto_bound, sieve_count, sieve_lower_bound, solve
 from quatlat.errors import InfeasibleError, UsageError
@@ -68,6 +71,44 @@ def test_one_variable_solutions_are_lex_first():
             continue
         want = naive_coprime_tuples(a, big_n, prob.effective_bound() + 1, c)
         assert sols == want, (a, big_n, c)
+
+
+def _coprime(a, big_n, tup) -> bool:
+    return gcd(a[0] + sum(x * r for x, r in zip(a[1:], tup)), big_n) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.integers(0, 15), min_size=n + 1,
+                                                    max_size=n + 1)),
+       st.integers(1, 210), st.integers(1, 3), st.integers(1, 6))
+def test_solve_against_brute_force(a, big_n, c, bound):
+    # brute force: every tuple of [0, bound]^n whose combination is coprime
+    a = tuple(a)
+    n = len(a) - 1
+    if gcd(big_n, *a) != 1:
+        with pytest.raises(UsageError):
+            CombinationProblem(a, big_n, c, bound)
+        return
+    coprime = [t for t in product(range(bound + 1), repeat=n) if _coprime(a, big_n, t)]
+    try:
+        sols = solve(CombinationProblem(a, big_n, c, bound))
+    except InfeasibleError as e:
+        assert e.subset and all(1 <= i <= n for i in e.subset)
+        if n == 1:  # one variable: a miss means fewer than c coprime values
+            assert len(coprime) < c
+    else:
+        assert len(sols) == len(set(sols)) == c**n
+        assert sols == sorted(sols)
+        assert set(sols) <= set(coprime)
+        assert _projection_counts_ok(sols, n, c)
+        if n == 1:
+            assert sols == coprime[:c]
+    # with the automatic bound, small problems of up to two variables solve
+    if n <= 2:
+        prob = CombinationProblem(a, big_n, c)
+        sols = solve(prob)
+        assert len(set(sols)) == c**n and _projection_counts_ok(sols, n, c)
+        assert all(_coprime(a, big_n, t) and max(t) <= prob.effective_bound() for t in sols)
 
 
 def test_tuple_entries_within_bound():
