@@ -11,13 +11,14 @@ a miss is reported as absence, never as impossibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from math import gcd
 
 from .arith import factorize
 from .errors import TheoremViolation, UsageError
 from .intmat import det
 from .lattice import Lattice4, _solve_int, _vecmat, norm_keys
-from .quat import Quat
+from .quat import Quat, mul_num, norm_num
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,7 @@ def balanced_search(spec: BalanceSearchSpec):
     heights.append(spec.height_max)  # one final pass exactly at the cap
     splittings = {}
     for n in _candidate_norms(sorted(spec.primes), spec.k_max):
-        local = _local_maps(mo_lat, n, splittings)
+        local = _local_maps(mo_lat, n, spec.k_max, splittings)
         tried = set()
         for height in heights:
             for key in norm_keys(mo_lat, n, height):
@@ -113,89 +114,90 @@ def balanced_search(spec: BalanceSearchSpec):
     return None
 
 
-def _local_maps(mo_lat: Lattice4, n: int, cache: dict) -> list:
-    """(p, e, columns) for each prime power p^e exactly dividing n.
+def _local_maps(mo_lat: Lattice4, n: int, k_max: int, cache: dict) -> list:
+    """(p, e, columns) for each prime power p^e exactly dividing n, e <= k_max.
 
-    columns holds the four entries' coefficient columns of _split_images,
-    so _vecmat(coords, columns) is phi of the element with those basis
-    coordinates; it is None where _split_images skips p.  cache keeps each
-    (p, e) set up once per search.
+    columns holds the four entries' coefficient columns of _split_images
+    mod p^e, so _vecmat(coords, columns) is phi of the element with those
+    basis coordinates; it is None at a ramified p.  cache keeps one
+    splitting per prime, built at p^k_max on first use and reduced mod p^e.
     """
     local = []
     for p, e in sorted(factorize(n).items()):
-        if (p, e) not in cache:
-            images = _split_images(mo_lat, p, e)
-            cache[p, e] = None if images is None else tuple(zip(*images))
-        local.append((p, e, cache[p, e]))
+        if p not in cache:
+            images = _split_images(mo_lat, p, k_max)
+            cache[p] = None if images is None else tuple(zip(*images))
+        columns = cache[p]
+        if columns is not None:
+            columns = tuple(tuple(v % p**e for v in col) for col in columns)
+        local.append((p, e, columns))
     return local
 
 
 def _split_images(mo_lat: Lattice4, p: int, e: int):
-    """Images in M2(Z/p^e) of the maximal order's basis, or None if p is skipped.
+    """Images in M2(Z/p^e) of the maximal order's basis, or None at a ramified p.
 
-    The algebra (a, b) has I^2 = a and J^2 = b.  For odd p not dividing
-    a b disc, I -> [[0, 1], [a, 0]] and J -> [[x, y], [-a y, -x]] with
-    x^2 - a y^2 = b mod p^e extend to a ring map O -> M2(Z/p^e), which is
-    onto exactly when the four basis images have a unit determinant mod p;
-    then it induces O / p^e O = M2(Z/p^e).  A matrix is the tuple
-    (m00, m01, m10, m11).  The map is read off the basis's (1, I, J, IJ)
-    coordinates.  When none has p in its denominator, O_p lies in
-    Z_p<I, J>, which is maximal at p, so the two agree and the images span;
-    an order such as gamma O gamma^-1 with p | nrd(gamma) can differ from
-    Z_p<I, J> and then has such a coordinate.  Every other prime (2, the
-    divisors of a b disc, and p in a basis denominator) gives None, and
-    _ideal_key falls back to the class mod p^e O there.
+    At an unramified p, O/pO = M2(F_p) holds x with p | nrd(x) and p not
+    dividing trd(x).  Then x^2 = trd(x) x mod p, so eps = x / trd(x) is a
+    rank-1 idempotent mod p, and eps <- 3 eps^2 - 2 eps^3 lifts it mod p^e,
+    doubling the precision each step.  (O/p^eO) eps is free of rank 2 with
+    basis (eps, b_k eps) for a basis element b_k of O, and phi(g) is the
+    matrix of left multiplication by g on it (column j: the image of the
+    j-th basis vector), so phi(gh) = phi(g) phi(h).  phi is onto exactly
+    when the four images have a unit determinant mod p; then it induces
+    O/p^eO = M2(Z/p^e) (Voight, Quaternion Algebras, ch. 13).  A matrix is
+    the tuple (m00, m01, m10, m11).  Working in O's basis coordinates
+    makes p = 2, p | ab and p in a basis denominator no special case.
     """
     mo = mo_lat.order
+    if mo.discriminant % p == 0:
+        return None  # O_p has no zero divisor of unit trace
     a, b = mo.alg.p, mo.alg.q
-    if p == 2 or (a * b * mo.alg.discriminant) % p == 0:
-        return None
     q = p**e
-    x, y = _conic_point(a, b, p, e)
-    # entry columns of the images of 1, I, J and IJ = [[-a y, -x], [a x, a y]]
-    ijk_cols = tuple(zip((1, 0, 0, 1), (0, 1, a, 0), (x, y, -a * y, -x),
-                         (-a * y, -x, a * x, a * y)))
+    d = mo_lat.den * mo._t_den
+    ijk = [_vecmat(row, mo._t_cols) for row in mo_lat.mat]  # the basis, over d
+    ijk_cols = tuple(zip(*ijk))
+    # x with one unit-trace coordinate fixed to 1; any coordinate would do,
+    # since rank-1 idempotents span M2(F_p)
+    f = next((i for i in range(4) if 2 * ijk[i][0] // d % p), 0)
+    for rest in product(range(p), repeat=3):
+        c = (*rest[:f], 1, *rest[f:])
+        x = _vecmat(c, ijk_cols)
+        t = 2 * x[0] // d
+        if t % p and norm_num(x, a, b) // (d * d) % p == 0:
+            break
+    else:
+        raise TheoremViolation(f"O/{p}O has no zero divisor of unit trace")
+
+    def mul(g, h):  # basis coordinates of g h mod q; O is closed, so it solves
+        frame = _vecmat(mul_num(_vecmat(g, ijk_cols), _vecmat(h, ijk_cols), a, b), mo._f_cols)
+        coords = _solve_int(mo_lat.mat, [w * mo_lat.den for w in frame], d * d * mo._f_den)
+        return tuple(w % q for w in coords)
+
+    eps = tuple(v * pow(t, -1, q) % q for v in c)
+    for _ in range((e - 1).bit_length()):
+        sq = mul(eps, eps)
+        eps = tuple((3 * s - 2 * v) % q for s, v in zip(sq, mul(sq, eps)))
+    if mul(eps, eps) != eps:
+        raise TheoremViolation(f"idempotent lift failed mod {q}")
+    # (O/pO) eps is spanned by the b_i eps; take one independent of eps
+    # mod p, with coordinates i, j where the pair's 2x2 minor is a unit
+    basis = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    gens = [mul(u, eps) for u in basis]
+    v, i, j = next((v, i, j) for v in gens for i, j in combinations(range(4), 2)
+                   if (eps[i] * v[j] - eps[j] * v[i]) % p)
+    inv = pow(eps[i] * v[j] - eps[j] * v[i], -1, q)
+
+    def solve(w):  # (s, t) with w = s eps + t v, by Cramer's rule on i, j
+        return ((w[i] * v[j] - w[j] * v[i]) * inv % q, (eps[i] * w[j] - eps[j] * w[i]) * inv % q)
+
     images = []
-    for row in mo_lat.mat:
-        num = _vecmat(row, mo._t_cols)
-        den = mo_lat.den * mo._t_den
-        g = gcd(den, *num)
-        num, den = [v // g for v in num], den // g
-        if den % p == 0:
-            return None
-        inv = pow(den, -1, q)
-        images.append(tuple(v * inv % q for v in _vecmat(num, ijk_cols)))
+    for g_eps, u in zip(gens, basis):
+        (m00, m10), (m01, m11) = solve(g_eps), solve(mul(u, v))
+        images.append((m00, m01, m10, m11))
     if det(images) % p == 0:
         raise TheoremViolation(f"basis images do not span M2(Z/{p})")
     return tuple(images)
-
-
-def _conic_point(a: int, b: int, p: int, e: int) -> tuple[int, int]:
-    """(x, y) with x^2 - a y^2 = b mod p^e, for odd p not dividing a b.
-
-    A scan over y finds a point mod p (the conic always has one); one of
-    x, y is then a unit, and Newton steps on that coordinate lift the point,
-    each step at least doubling the precision.
-    """
-    q = p**e
-    roots = {}
-    for x in range(p):
-        roots.setdefault(x * x % p, x)
-    for y in range(p):
-        x = roots.get((b + a * y * y) % p)
-        if x is not None:
-            break
-    else:
-        raise TheoremViolation(f"no point on x^2 - {a} y^2 = {b} mod {p}")
-    for _ in range(e):
-        f = (x * x - a * y * y - b) % q
-        if x % p:
-            x = (x - f * pow(2 * x, -1, q)) % q
-        else:
-            y = (y + f * pow(2 * a * y, -1, q)) % q
-    if (x * x - a * y * y - b) % q:
-        raise TheoremViolation(f"Hensel lift of the conic point failed mod {q}")
-    return x, y
 
 
 def _ideal_key(mo_lat: Lattice4, key, local) -> tuple:
@@ -214,11 +216,10 @@ def _ideal_key(mo_lat: Lattice4, key, local) -> tuple:
     - O gamma contains n = conj(gamma) gamma, hence nO, so it equals O away
       from n and is fixed by its localizations at the p dividing n: equal
       local ideals at every p | n give equal global left ideals.
-    - Where p is skipped (columns None), the component is gamma's
-      coordinates mod p^e.  gamma' = gamma mod p^e O puts gamma' in
-      gamma + p^e O_p, inside O_p gamma, so both generate one local ideal;
-      the key is exact but finer than the ideal there.
-    - Where p splits, O_p gamma corresponds to the row space of
+    - At a ramified p (columns None), O_p has exactly one integral left
+      ideal of each norm, a power of its maximal ideal, so the component
+      is () and carries no information.
+    - At every other p, O_p gamma corresponds to the row space of
       M = phi(gamma) in (Z/p^e)^2.  For primitive gamma (M nonzero mod p)
       det M = nrd(gamma) has valuation e, so M has Smith form diag(1, p^e)
       and its row space is cyclic of order p^e, generated by any row with a
@@ -231,14 +232,8 @@ def _ideal_key(mo_lat: Lattice4, key, local) -> tuple:
     if coords is None:
         raise TheoremViolation(
             f"conjugator candidate {tuple(key)} / {mo_lat.den} lies outside the maximal order")
-    parts = []
-    for p, e, columns in local:
-        q = p**e
-        if columns is None:
-            parts.append(tuple(c % q for c in coords))
-        else:
-            parts.append(_row_point(_vecmat(coords, columns), p, e))
-    return tuple(parts)
+    return tuple(() if columns is None else _row_point(_vecmat(coords, columns), p, e)
+                 for p, e, columns in local)
 
 
 def _row_point(m, p: int, e: int):

@@ -46,6 +46,13 @@ def _to_fraction(v) -> Fraction:
     raise UsageError(f"cannot read {v!r} as a rational")
 
 
+def _to_float(v) -> float:
+    try:
+        return float(_to_fraction(v))
+    except OverflowError:
+        raise UsageError(f"{v!r} does not fit in a float") from None
+
+
 def _to_int(v, what: str) -> int:
     """An integer from a config value or the environment."""
     if isinstance(v, float) and v.is_integer():
@@ -164,13 +171,13 @@ def load_config(args, need_lattice: bool = True) -> ExperimentConfig:
             order_lat = mo.lattice_from_ijk(*_lattice_rows(raw["order"], "order"))
         else:
             order_lat = mo.lattice
-    delta = float(_to_fraction(raw.get("delta", 1)))
+    delta = _to_float(raw.get("delta", 1))
     if getattr(args, "delta", None) is not None:
         delta = args.delta
     zb = raw.get("z_box", list(DEFAULT_Z_BOX))
     if not isinstance(zb, list) or len(zb) != 4:
         raise UsageError("z_box must hold 4 reals")
-    z_box = ZBox(*(float(_to_fraction(v)) for v in zb))
+    z_box = ZBox(*(_to_float(v) for v in zb))
     sweep = raw.get("sweep", {})
     if not isinstance(sweep, dict):
         raise UsageError("sweep must be a JSON object")

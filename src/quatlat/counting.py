@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd, isqrt, sqrt
+from math import gcd, inf, isqrt, sqrt
 
 from . import coprime, intmat
 from .arith import divisor_count, is_square, sqrt_ceil_of_product
@@ -45,8 +45,8 @@ class CountQuery:
     squares_only: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0 or self.l_max < 1:
-            raise UsageError("delta and l_max must be positive")
+        if not 0 < self.delta < inf or self.l_max < 1:
+            raise UsageError("delta must be positive and finite, and l_max positive")
         if not self.lat.contains_one():
             raise UsageError("counting needs a lattice containing 1")
 

@@ -188,7 +188,3 @@ def solve_left_frac(H, vec) -> list[Fraction]:
         s = Fraction(vec[j]) - sum(c[i] * H[i][j] for i in range(j))
         c[j] = s / H[j][j]
     return c
-
-
-def is_unimodular(A) -> bool:
-    return det(A) in (1, -1)

@@ -233,20 +233,6 @@ class MaximalOrder:
     def contains(self, x: Quat) -> bool:
         return self.lattice.contains_quat(x)
 
-    def norm_form_scaled(self, w) -> int:
-        """den^2 * nrd of the trace-zero element with scaled coords w.
-
-        Exactly (w S w^T) / 2 for the integer Gram S; always an integer.
-        """
-        S = self.gram0
-        tot = 0
-        for k in range(3):
-            tot += S[k][k] * w[k] * w[k]
-            for l in range(k + 1, 3):
-                tot += 2 * S[k][l] * w[k] * w[l]
-        assert tot % 2 == 0
-        return tot // 2
-
 
 @dataclass(frozen=True)
 class Shape:

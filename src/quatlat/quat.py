@@ -11,7 +11,6 @@ plane).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,15 +111,6 @@ class QuatAlg:
 
     def one(self) -> "Quat":
         return self.quat(1)
-
-    def gen_i(self) -> "Quat":
-        return self.quat(0, 1)
-
-    def gen_j(self) -> "Quat":
-        return self.quat(0, 0, 1)
-
-    def gen_k(self) -> "Quat":
-        return self.quat(0, 0, 0, 1)
 
 
 def over_one_den(values) -> tuple[tuple[int, ...], int]:
@@ -364,8 +354,8 @@ def box_constant(delta: float, box: ZBox, alg: QuatAlg, frame_inv=None) -> BoxCo
     coordinates to an integral-basis frame (rows index the IJ coordinates);
     the bound is then valid for the frame coordinates instead.
     """
-    if delta <= 0:
-        raise UsageError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise UsageError("delta must be positive and finite")
     per = _coord_maxima(delta, box, alg)
     if frame_inv is None:
         t = max(per)
@@ -374,77 +364,3 @@ def box_constant(delta: float, box: ZBox, alg: QuatAlg, frame_inv=None) -> BoxCo
         for k in range(4):
             t = max(t, sum(abs(float(frame_inv[j][k])) * per[j] for j in range(4)))
     return BoxConstant(delta, t * (1.0 + 1e-9))
-
-
-def sample_moved_unit(rng: random.Random, delta: float, box: ZBox, alg: QuatAlg):
-    """One random norm-1 direction moving a random box point by at most delta.
-
-    Returns (z, coords) where coords are the exact-real (1, I, J, IJ)
-    coordinates of a reduced-norm-1 element gamma with u(z, gamma z) <= delta.
-    Used by the falsification sweep that certifies box_constant empirically.
-    """
-    x = rng.uniform(box.x_min, box.x_max)
-    y = rng.uniform(box.y_min, box.y_max)
-    while True:
-        s = rng.uniform(-2, 2) * math.sqrt(delta)
-        t = rng.uniform(-2, 2) * math.sqrt(delta)
-        if s * s + t * t <= 4 * delta:
-            break
-    psi = rng.uniform(0.0, 2.0 * math.pi)
-    rho = math.sqrt(4.0 + s * s + t * t)
-    w = rho * math.cos(psi)
-    v = rho * math.sin(psi)
-    al = (w + s) / 2
-    be = (t + v) / 2
-    ga = (t - v) / 2
-    de = (w - s) / 2
-    # conjugate by g_z = [[sqrt(y), x/sqrt(y)], [0, 1/sqrt(y)]]
-    A = al + x * ga / y
-    B = y * be - x * al + x * de - x * x * ga / y
-    C = ga / y
-    D = de - x * ga / y
-    sp = math.sqrt(alg.p)
-    q = alg.q
-    coords = (
-        (A + D) / 2,
-        (A - D) / (2 * sp),
-        (B / q + C) / 2,
-        (B / q - C) / (2 * sp),
-    )
-    return UpperHalfPoint(x, y), coords
-
-
-def falsify_box_constant(
-    bc: BoxConstant,
-    box: ZBox,
-    alg: QuatAlg,
-    samples: int,
-    seed: int = 0,
-    frame_inv=None,
-):
-    """Randomized falsification sweep for a claimed box constant.
-
-    Returns (max_ratio, witness) where witness is None when no sampled
-    direction breaks the bound; max_ratio is the largest observed
-    max|coord| / t over the sweep.
-    """
-    rng = random.Random(seed)
-    worst = 0.0
-    witness = None
-    conv = None
-    if frame_inv is not None:
-        conv = [[float(frame_inv[j][k]) for k in range(4)] for j in range(4)]
-    for _ in range(samples):
-        z, coords = sample_moved_unit(rng, bc.delta, box, alg)
-        if conv is None:
-            m = max(abs(c) for c in coords)
-        else:
-            m = max(
-                abs(sum(coords[j] * conv[j][k] for j in range(4))) for k in range(4)
-            )
-        ratio = m / bc.t
-        if ratio > worst:
-            worst = ratio
-            if ratio > 1.0:
-                witness = (z, coords)
-    return worst, witness

@@ -4,13 +4,16 @@ Everything here is deliberately naive or delegated to sympy, so the package
 under test never checks itself against its own machinery.
 """
 
+import math
+import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from quatlat import Lattice4
+from quatlat import Lattice4, QuatAlg, UpperHalfPoint, ZBox
+from quatlat.quat import BoxConstant
 
 
 def sympy_snf_diag(rows) -> list[int]:
@@ -45,6 +48,23 @@ def row_span_equal(a_rows, b_rows) -> bool:
 
 def naive_det(rows) -> int:
     return int(Matrix([[int(v) for v in r] for r in rows]).det())
+
+
+def is_unimodular(rows) -> bool:
+    return naive_det(rows) in (1, -1)
+
+
+def naive_trace_zero_norm(mo, w) -> int:
+    """nrd(w0 i1 + w1 i2 + w2 i3) for the frame's trace-zero basis, in Fractions.
+
+    That is den^2 times the reduced norm of the trace-zero element whose
+    den-scaled frame coordinates are w.
+    """
+    a, b = mo.alg.p, mo.alg.q
+    x = [sum(wk * Fraction(v[i]) for wk, v in zip(w, mo.basis[1:])) for i in range(4)]
+    n = x[0] ** 2 - a * x[1] ** 2 - b * x[2] ** 2 + a * b * x[3] ** 2
+    assert n.denominator == 1
+    return int(n)
 
 
 def naive_norm_elements(lat: Lattice4, m: int, height: int):
@@ -251,3 +271,77 @@ def conic_has_small_point(a: int, b: int, height: int = 12):
             if z * z == s:
                 return (x, y, z)
     return None
+
+
+def sample_moved_unit(rng: random.Random, delta: float, box: ZBox, alg: QuatAlg):
+    """One random norm-1 direction moving a random box point by at most delta.
+
+    Returns (z, coords) where coords are the exact-real (1, I, J, IJ)
+    coordinates of a reduced-norm-1 element gamma with u(z, gamma z) <= delta.
+    Used by the falsification sweep that tests box_constant empirically.
+    """
+    x = rng.uniform(box.x_min, box.x_max)
+    y = rng.uniform(box.y_min, box.y_max)
+    while True:
+        s = rng.uniform(-2, 2) * math.sqrt(delta)
+        t = rng.uniform(-2, 2) * math.sqrt(delta)
+        if s * s + t * t <= 4 * delta:
+            break
+    psi = rng.uniform(0.0, 2.0 * math.pi)
+    rho = math.sqrt(4.0 + s * s + t * t)
+    w = rho * math.cos(psi)
+    v = rho * math.sin(psi)
+    al = (w + s) / 2
+    be = (t + v) / 2
+    ga = (t - v) / 2
+    de = (w - s) / 2
+    # conjugate by g_z = [[sqrt(y), x/sqrt(y)], [0, 1/sqrt(y)]]
+    A = al + x * ga / y
+    B = y * be - x * al + x * de - x * x * ga / y
+    C = ga / y
+    D = de - x * ga / y
+    sp = math.sqrt(alg.p)
+    q = alg.q
+    coords = (
+        (A + D) / 2,
+        (A - D) / (2 * sp),
+        (B / q + C) / 2,
+        (B / q - C) / (2 * sp),
+    )
+    return UpperHalfPoint(x, y), coords
+
+
+def falsify_box_constant(
+    bc: BoxConstant,
+    box: ZBox,
+    alg: QuatAlg,
+    samples: int,
+    seed: int = 0,
+    frame_inv=None,
+):
+    """Randomized falsification sweep for a claimed box constant.
+
+    Returns (max_ratio, witness) where witness is None when no sampled
+    direction breaks the bound; max_ratio is the largest observed
+    max|coord| / t over the sweep.
+    """
+    rng = random.Random(seed)
+    worst = 0.0
+    witness = None
+    conv = None
+    if frame_inv is not None:
+        conv = [[float(frame_inv[j][k]) for k in range(4)] for j in range(4)]
+    for _ in range(samples):
+        z, coords = sample_moved_unit(rng, bc.delta, box, alg)
+        if conv is None:
+            m = max(abs(c) for c in coords)
+        else:
+            m = max(
+                abs(sum(coords[j] * conv[j][k] for j in range(4))) for k in range(4)
+            )
+        ratio = m / bc.t
+        if ratio > worst:
+            worst = ratio
+            if ratio > 1.0:
+                witness = (z, coords)
+    return worst, witness

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from pathlib import Path
 
 import pytest
@@ -55,6 +55,27 @@ def _power_order(mo, p, n):
             if lat.level() == p**n:
                 return lat
     raise AssertionError(f"no generic norm-{p} element below height 16")
+
+
+@lru_cache(maxsize=None)
+def _maximal_order(label):
+    """The default maximal order of the algebra label, or "conj" for g O g^-1.
+
+    conj is the default order of (3, -1) conjugated by g = 2 + J of norm 5;
+    it differs from Z<I, J> at 5, where a basis coordinate has 5 in its
+    denominator.
+    """
+    if label != "conj":
+        return default_maximal_order(QuatAlg(*label))
+    mo = _maximal_order((3, -1))
+    g = mo.alg.quat(2, 0, 1, 0)
+    return MaximalOrder(mo.alg, [list((g * b * g.inverse()).coords())
+                                 for b in mo.lattice.basis_quats()])
+
+
+def _maps(mo_lat, n):
+    """_local_maps for n alone, with splittings built at n's own exponents."""
+    return _local_maps(mo_lat, n, max(factorize(n).values()), {})
 
 
 def _search_every_element(spec):
@@ -170,7 +191,7 @@ def test_class_search_matches_every_element_search(mo):
 def _ideal_classes(mo, n, height):
     """Candidates of norm n up to height, grouped by their left-ideal key."""
     mo_lat = mo.lattice
-    local = _local_maps(mo_lat, n, {})
+    local = _maps(mo_lat, n)
     classes = {}
     for key in norm_keys(mo_lat, n, height):
         gamma = mo.quat_from_frame(key, mo_lat.den)
@@ -204,9 +225,9 @@ def test_ideal_key_rejects_elements_outside_the_order(mo):
     assert mo_lat.den % 2 == 0
     half = (mo_lat.den // 2, 0, 0, 0)
     assert not mo_lat.contains_coords((Fraction(1, 2), 0, 0, 0))
-    for n in (5, 4, 10):  # a split prime, the fallback prime 2, and both
+    for n in (5, 4, 10):  # a split prime, the ramified prime 2, and both
         with pytest.raises(TheoremViolation):
-            _ideal_key(mo_lat, half, _local_maps(mo_lat, n, {}))
+            _ideal_key(mo_lat, half, _maps(mo_lat, n))
 
 
 def _basis_coords(mo_lat, x):
@@ -228,14 +249,22 @@ def _mat_mul_mod(m, n, q):
          m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3]), q)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
+SPLIT_CASES = [((3, -1), 5), ((3, -1), 7), ((3, -1), 11), ((3, -1), 13),
+               ((3, -5), 3), ((3, -7), 2), ("conj", 5)]
+
+
+@pytest.mark.parametrize("label, p", SPLIT_CASES,
+                         ids=["5", "7", "11", "13", "3--5-at-3", "3--7-at-2", "conj-at-5"])
 @pytest.mark.parametrize("e", [1, 2, 3])
-def test_splitting_is_an_isomorphism_onto_matrices(mo, p, e):
+def test_splitting_is_an_isomorphism_onto_matrices(label, p, e):
+    # the last three cases were the class-key fallback: p | 2ab, p = 2, and
+    # p in a basis denominator of g O g^-1
+    mo = _maximal_order(label)
     mo_lat = mo.lattice
     q = p**e
     images = _split_images(mo_lat, p, e)
     assert images is not None
-    (_, _, columns), = _local_maps(mo_lat, q, {})
+    (_, _, columns), = _maps(mo_lat, q)
 
     def phi(x):
         return _mat_mod(_vecmat(_basis_coords(mo_lat, x), columns), q)
@@ -251,35 +280,40 @@ def test_splitting_is_an_isomorphism_onto_matrices(mo, p, e):
     assert Matrix([list(m) for m in images]).det() % p != 0
 
 
-@pytest.mark.parametrize("p, split", [(5, False), (7, True)])
-def test_conjugated_maximal_order_falls_back_where_it_leaves_the_standard_order(mo, p, split):
-    # g O g^-1 with nrd(g) = 5 differs from Z<I, J> at 5, where a basis
-    # coordinate has 5 in its denominator; at 7 it still splits
-    g = mo.alg.quat(2, 0, 1, 0)
-    assert g.nrd() == 5
-    conj_mo = MaximalOrder(mo.alg, [list((g * b * g.inverse()).coords())
-                                    for b in mo.lattice.basis_quats()])
-    assert conj_mo.lattice != mo.lattice
-    assert all((_split_images(conj_mo.lattice, p, e) is not None) == split for e in (1, 2, 3))
-    for k in (2, 3, 4):
-        lat = _power_order(conj_mo, p, k)
-        assert not lat.is_balanced()
-        spec = BalanceSearchSpec(lat, frozenset({p}), 2, 8)
-        res = balanced_search(spec)
-        assert res is not None
-        assert res == _search_every_element(spec)
+def _count_tried(monkeypatch, spec):
+    """balanced_search(spec) and the number of conjugators it tried."""
+    tried = []
+
+    def counting_try(*args):
+        tried.append(args[2])
+        return _try_conjugator(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(balance, "_try_conjugator", counting_try)
+        return balanced_search(spec), len(tried)
 
 
-@pytest.mark.parametrize("a, b, p", [(3, -5, 3), (3, -7, 2)])
-def test_unsplit_primes_fall_back_to_classes(a, b, p):
-    mo = default_maximal_order(QuatAlg(a, b))
-    assert all(_split_images(mo.lattice, p, e) is None for e in (1, 2, 3))
+@pytest.mark.parametrize("label, p, tried", [
+    ((3, -5), 3, 12),  # 3 | ab
+    ((3, -7), 2, 6),  # p = 2
+    ("conj", 5, 8),  # 5 in a basis denominator
+    ("conj", 7, 26),
+], ids=["3--5-at-3", "3--7-at-2", "conj-at-5", "conj-at-7"])
+def test_former_fallback_primes_key_by_left_ideals(monkeypatch, label, p, tried):
+    # once keyed by the class mod p^e O: now every unramified p splits, and
+    # one conjugator is tried per left ideal there too
+    mo = _maximal_order(label)
+    for r in (2, 3, 5, 7, 11, 13):
+        assert all((_split_images(mo.lattice, r, e) is None) == (mo.discriminant % r == 0)
+                   for e in (1, 2, 3))
     for k in (2, 3, 4):
         lat = _power_order(mo, p, k)
+        assert not lat.is_balanced()
         spec = BalanceSearchSpec(lat, frozenset({p}), 2, 8)
-        res = balanced_search(spec)
+        res, n_tried = _count_tried(monkeypatch, spec)
         assert res is not None
         assert res == _search_every_element(spec)
+    assert n_tried == tried  # at k = 4
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -321,19 +355,24 @@ def test_height_one_search_tries_candidates(mo, monkeypatch):
 
 
 KEY_NORMS = (2, 3, 5, 6, 7, 10, 25, 35, 49)
+# 2 and 3 ramify in (3, -1), 2 and 5 in (3, -5), 3 and 7 in (3, -7); the
+# others split, including the former fallback primes 3, 2 and 5 (in conj)
+KEY_ORDERS = ((3, -1), (3, -5), (3, -7), "conj")
 
 
 @lru_cache(maxsize=None)
-def _oracle_ideals(mo):
+def _oracle_ideals(label):
     """Per norm n: the oracle's norm-n elements of O with their left ideals.
 
     Elements come from naive_norm_table at height 6 (the first height with
-    norm 49), plus 5 u for the units u of height at most 2 that 5 u does
-    not already bring within height 6, so non-primitive generators of 5O
-    are among the norm-25 ones.  Each element carries its package key and
-    the Hermite form of its naive generators of O gamma + nO (equal to O
-    gamma), scaled by one common denominator per norm.
+    norm 49 in (3, -1)), plus r u for n = r^2 and the units u of height at
+    most 2 that r u does not already bring within height 6, so
+    non-primitive generators of rO are among the norm-n ones.  Each element
+    carries its package key and the Hermite form of its naive generators of
+    O gamma + nO (equal to O gamma), scaled by one common denominator per
+    norm.
     """
+    mo = _maximal_order(label)
     a, b = mo.alg.p, mo.alg.q
     mo_lat = mo.lattice
 
@@ -344,13 +383,14 @@ def _oracle_ideals(mo):
     table = naive_norm_table(mo_lat, 6)
     out = {}
     for n in KEY_NORMS:
-        elements = list(table[n])
-        if n == 25:
-            elements += [tuple(5 * c for c in u) for u in table[1]
-                         if max(map(abs, u)) <= 2 and max(map(abs, u)) > Fraction(6, 5)]
+        elements = list(table.get(n, []))
+        r = isqrt(n)
+        if r * r == n:
+            elements += [tuple(r * c for c in u) for u in table[1]
+                         if max(map(abs, u)) <= 2 and max(map(abs, u)) > Fraction(6, r)]
         gens = [naive_left_ideal_gens(a, b, basis, ijk(g), n) for g in elements]
         d = lcm(*(v.denominator for rows in gens for row in rows for v in row))
-        local = _local_maps(mo_lat, n, {})
+        local = _maps(mo_lat, n)
         out[n] = [
             (
                 _ideal_key(mo_lat, [int(c * mo_lat.den) for c in g], local),
@@ -362,18 +402,14 @@ def _oracle_ideals(mo):
     return out
 
 
-def _split_everywhere(mo, n):
-    alg = mo.alg
-    return all(p != 2 and (alg.p * alg.q * alg.discriminant) % p for p in factorize(n))
-
-
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=240, deadline=None)
 @given(data=st.data())
-def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(mo, data):
-    # equal keys always mean equal ideals, and where every p | n splits,
-    # equal ideals mean equal keys
+def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(data):
+    # equal keys mean equal ideals and equal ideals mean equal keys, at
+    # split and ramified primes alike
+    label = data.draw(st.sampled_from(KEY_ORDERS))
     n = data.draw(st.sampled_from(KEY_NORMS))
-    entries = _oracle_ideals(mo)[n]
+    entries = _oracle_ideals(label)[n]
     key, ideal, rows = data.draw(st.sampled_from(entries))
     # half the draws pick a generator of the same ideal, so equality is hit
     pool = [e for e in entries if e[1] == ideal] if data.draw(st.booleans()) else entries
@@ -381,13 +417,12 @@ def test_ideal_key_pairs_agree_with_the_left_ideal_oracle(mo, data):
     d = lcm(*(v.denominator for r in rows + rows2 for v in r))
     same = row_span_equal([[int(v * d) for v in r] for r in rows],
                           [[int(v * d) for v in r] for r in rows2])
-    if key == key2:
-        assert same
-    if same and _split_everywhere(mo, n):
-        assert key == key2
-    if n == 25:  # 5O, generated by the 5 u, is one of them, keyed apart
-        five_o = {e[1] for e in entries if e[0] == (("p", ()),)}
-        assert sum(e[0] == (("p", ()),) for e in entries) > 1 and len(five_o) == 1
+    assert (key == key2) == same
+    r = isqrt(n)
+    if r * r == n:  # rO, generated by the r u, is one ideal, keyed apart
+        r_key = ((),) if _maximal_order(label).discriminant % r == 0 else (("p", ()),)
+        r_o = {e[1] for e in entries if e[0] == r_key}
+        assert sum(e[0] == r_key for e in entries) > 1 and len(r_o) == 1
 
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"

@@ -252,6 +252,9 @@ MALFORMED = [
     ("config-not-object", ["algebra"], [3, -1]),
     ("z-box-not-list", ["count"], {"z_box": "wide"}),
     ("delta-not-rational", ["count"], {"delta": "small"}),
+    ("delta-nan", ["count", "--delta", "nan"], None),
+    ("delta-inf", ["count", "--delta", "inf"], None),
+    ("delta-beyond-float", ["count"], {"delta": "1e400"}),
     ("order-mat-not-list", ["order"], {"order": {"mat": 7}}),
     # flags the subcommand does not offer, and a --threads that is not positive
     ("exponent-lmax", ["exponent", "--n", "2^4", "--lmax", "3"], None),

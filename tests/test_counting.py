@@ -36,7 +36,7 @@ from quatlat.counting import _max_divisor_count, _pair_det
 from quatlat.errors import SearchExhausted, TheoremViolation, UsageError
 from quatlat.quat import apply_quat
 
-from oracles import naive_norm_elements
+from oracles import is_unimodular, naive_norm_elements
 
 BOX = ZBox(-0.5, 0.5, 0.8, 1.2)
 Z0 = UpperHalfPoint(0.05, 1.02)
@@ -64,7 +64,7 @@ def test_witness_structure(mo):
         assert w.shape.tuple3() == sh.tuple3()
         assert w.shape.e == 2
         assert w.modulus == 2 * sh.m1 * sh.m2 * sh.m3
-        assert intmat.is_unimodular([list(r) for r in w.delta_mat])
+        assert is_unimodular([list(r) for r in w.delta_mat])
         assert (w.big_r * w.big_r_inv) % w.modulus == 1
         assert gcd(w.big_s, w.modulus) == 1
         assert (w.s2, w.s3) != (w.r2, w.r3)

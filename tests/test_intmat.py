@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quatlat import intmat
 
-from oracles import naive_det, row_span_equal, sympy_row_hnf, sympy_snf_diag
+from oracles import is_unimodular, naive_det, row_span_equal, sympy_row_hnf, sympy_snf_diag
 
 FEW = settings(max_examples=80, deadline=None)
 
@@ -87,7 +87,7 @@ def test_snf_transforms_and_divisibility():
         m = rand_mat(rng, n, nonsingular=False)
         d, u, v = intmat.snf_with_transforms([row[:] for row in m])
         assert intmat.matmul(intmat.matmul(u, m), v) == d
-        assert intmat.is_unimodular(u) and intmat.is_unimodular(v)
+        assert is_unimodular(u) and is_unimodular(v)
         diag = [d[i][i] for i in range(n)]
         assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
         for i in range(n - 1):
@@ -150,6 +150,6 @@ def test_hnf_matches_sympy(m):
 def test_snf_matches_sympy(m):
     d, u, v = intmat.snf_with_transforms(m)
     assert intmat.matmul(intmat.matmul(u, m), v) == d
-    assert intmat.is_unimodular(u) and intmat.is_unimodular(v)
+    assert is_unimodular(u) and is_unimodular(v)
     assert all(d[i][j] == 0 for i in range(len(m)) for j in range(len(m[0])) if i != j)
     assert [d[i][i] for i in range(min(len(m), len(m[0])))] == sympy_snf_diag(m)
