@@ -17,18 +17,32 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, inf, isqrt, sqrt
 
 from . import coprime, intmat
 from .arith import divisor_count, is_square, sqrt_ceil_of_product
 from .errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
-from .lattice import Lattice4, Shape, norm_elements, norm_keys, traceless_slices
+from .lattice import (
+    Lattice4,
+    Shape,
+    box_slice_count,
+    norm_elements,
+    norm_keys,
+    traceless_slices,
+)
 from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
 
 U_SLACK = 1e-9
 # widening of delta in the float ball pre-filters; covers U_SLACK and the
 # rounding of the float F_z Gram, so only in_ball decides membership
 PREFILTER_SLACK = 1e-6
+# largest weight of the norm identity in enumerate_norm_ball's walk form
+WALK_LAMBDA_CAP = 32.0
+# most slices one sweep_counts box may hold, about half a minute of walking
+# at a few microseconds a slice; a larger delta or l_max is refused before
+# the walk starts
+MAX_SWEEP_SLICES = 10**7
 
 
 def in_ball(alpha: Quat, z: UpperHalfPoint, delta: float) -> bool:
@@ -85,14 +99,29 @@ class InjectionWitness:
     def modulus(self) -> int:
         return self.shape.level
 
-    @property
+    @cached_property
     def big_r2(self) -> int:
         d = self.delta_mat
         return d[1][0] + self.r2 * d[1][1] + self.r3 * d[1][2]
 
-    @property
+    @cached_property
     def s_inv(self) -> int:
         return pow(self.big_s, -1, self.modulus)
+
+    @cached_property
+    def _residue_coeffs(self) -> tuple[int, int, int]:
+        """(e2, e3a, e3b): B = A e2 mod M2 and a3 = A e3a + B e3b mod M3.
+
+        The congruences of verify_congruences, with the products of the
+        witness's constants taken once: e2 = R^-1 S', and the a3 residue
+        A R^-1 d02 + S^-1 (B - A e2) k, k = d12 - R2 R^-1 d02, expands to
+        A (R^-1 d02 - S^-1 k e2) + B S^-1 k.
+        """
+        _m1, m2, m3 = self.shape.tuple3()
+        dm, r_inv = self.delta_mat, self.big_r_inv
+        e2 = r_inv * self.s_prime
+        k_b = self.s_inv * (dm[1][2] - self.big_r2 * r_inv * dm[0][2])
+        return e2 % m2, (r_inv * dm[0][2] - k_b * e2) % m3, k_b % m3
 
 
 def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness:
@@ -192,38 +221,40 @@ def _check_product_pattern(w: InjectionWitness) -> None:
 
 
 def _int_coords(w: InjectionWitness, alpha: Quat) -> tuple[int, int, int, int]:
-    num, d = w.lat.order._frame_num(alpha)
-    if any(v % d for v in num):
-        raise ContainmentError("element is not in the split lattice (integer coords)")
-    coords = tuple(v // d for v in num)
+    """Integer frame coordinates of alpha, which must lie in the witness lattice."""
+    order = w.lat.order
+    d = alpha.den * order._f_den
+    x0, x1, x2, x3 = alpha.num
+    coords = []
+    for a, b, c, e in order._f_cols:
+        v, r = divmod(x0 * a + x1 * b + x2 * c + x3 * e, d)
+        if r:
+            raise ContainmentError("element is not in the split lattice (integer coords)")
+        coords.append(v)
     if not w.lat._contains(coords, 1):
         raise ContainmentError("element is not in the witness lattice")
-    return coords
+    return tuple(coords)
+
+
+def _projected(w: InjectionWitness, alpha: Quat) -> tuple[int, int, int, int]:
+    """The integers (a0, A, B, a3) of project_alpha."""
+    a0, a1, a2, a3 = _int_coords(w, alpha)
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = w.g_mat
+    return (a0, a1 * g00 + a2 * g10 + a3 * g20, a1 * g01 + a2 * g11 + a3 * g21,
+            a1 * g02 + a2 * g12 + a3 * g22)
 
 
 def project_alpha(w: InjectionWitness, alpha: Quat) -> ProjectedTuple:
     """Injective tuple (a0, A, B, a3): right-multiply the coords by g."""
-    a0, a1, a2, a3 = _int_coords(w, alpha)
-    g = w.g_mat
-    aa = a1 * g[0][0] + a2 * g[1][0] + a3 * g[2][0]
-    ab = a1 * g[0][1] + a2 * g[1][1] + a3 * g[2][1]
-    a3p = a1 * g[0][2] + a2 * g[1][2] + a3 * g[2][2]
-    return ProjectedTuple(a0, aa, ab, a3p)
+    return ProjectedTuple(*_projected(w, alpha))
 
 
 def verify_congruences(w: InjectionWitness, alpha: Quat) -> bool:
     """The three residue constraints every lattice element must satisfy."""
-    t = project_alpha(w, alpha)
+    _a0, aa, ab, a3 = _projected(w, alpha)
     m1, m2, m3 = w.shape.tuple3()
-    dm = w.delta_mat
-    if t.a_a % m1:
-        return False
-    if (t.a_b - t.a_a * w.big_r_inv * w.s_prime) % m2:
-        return False
-    rhs = t.a_a * w.big_r_inv * dm[0][2] + w.s_inv * (
-        t.a_b - t.a_a * w.big_r_inv * w.s_prime
-    ) * (dm[1][2] - w.big_r2 * w.big_r_inv * dm[0][2])
-    return (t.a3 - rhs) % m3 == 0
+    e2, e3a, e3b = w._residue_coeffs
+    return not (aa % m1 or (ab - aa * e2) % m2 or (a3 - aa * e3a - ab * e3b) % m3)
 
 
 def _count_in_range(c: int, modulus: int, zero_class: bool) -> int:
@@ -304,10 +335,14 @@ def enumerate_norm_ball(
 
     The search space is the coordinate box |a_i| <= ceil(t sqrt(m)) walked
     through the lattice's Hermite form; the box constant guarantees no
-    qualifying element lies outside it.  The walk is also cut to the
-    ellipsoid F_z(v) <= (4 delta + 2) m (widened by PREFILTER_SLACK) that
-    the trace-zero part v of every such element satisfies, since
-    u(z, alpha z) <= delta reads 2 a0^2 + F_z(v) <= (4 delta + 2) m.
+    qualifying element lies outside it.  The walk is also cut to an
+    ellipsoid that holds the trace-zero part v of every such element:
+    u(z, alpha z) <= delta reads 2 a0^2 + F_z(v) <= c m with
+    c = 4 delta + 2 (widened by PREFILTER_SLACK), and a0^2 = m - nrd(v)
+    turns it into F_z(v) - 2 nrd(v) <= (c - 2) m.  For any lambda >= 0,
+    the first inequality plus lambda times the second gives
+    (1 + lambda) F_z(v) - 2 lambda nrd(v) <= (c + lambda (c - 2)) m,
+    a positive definite form since F_z(v) >= 2 |nrd(v)|; see _walk_form.
     """
     if m < 1:
         raise UsageError("norm must be positive")
@@ -318,9 +353,10 @@ def enumerate_norm_ball(
     f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
     c_hi = 4.0 * (delta + PREFILTER_SLACK) + 2.0
     num = den * den * m
+    walk_gram, walk_c = _walk_form(gram, lat.order.gram0, delta, c_hi)
     qf = lat.order.quat_from_frame
     found = []
-    for key in norm_keys(lat, m, height, (gram, c_hi * num)):
+    for key in norm_keys(lat, m, height, (walk_gram, walk_c * num)):
         h, w0, w1, w2 = key
         f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + (
             f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2
@@ -365,7 +401,15 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
     if split_query and q.lat != w.lat:
         raise UsageError("witness must be built on the query lattice")
     max_norm = q.l_max * q.l_max if q.squares_only else q.l_max
-    height = sqrt_ceil_of_product(t.t, max_norm)
+    try:
+        height = sqrt_ceil_of_product(t.t, max_norm)
+        too_big = box_slice_count(q.lat, height) > MAX_SWEEP_SLICES
+    except OverflowError:  # t sqrt(max_norm) is past the float range
+        too_big = True
+    if too_big:
+        raise UsageError(
+            f"the sweep's box holds more than {MAX_SWEEP_SLICES:,} slices; lower delta or l_max"
+        )
     counts: dict[int, int] = {}
     den = q.lat.den
     dd = den * den
@@ -605,6 +649,21 @@ def _fz_gram(order, z: UpperHalfPoint) -> list[list[float]]:
         g.append((a, b, c, d))
     return [[u0 * v0 + u1 * v1 + u2 * v2 + u3 * v3 for v0, v1, v2, v3 in g]
             for u0, u1, u2, u3 in g]
+
+
+def _walk_form(gram, gram0, delta: float, c_hi: float):
+    """(G, c) with w G w^T <= c den^2 m holding every norm-m ball candidate.
+
+    G = (1 + lambda) gram - lambda gram0 and c = c_hi + lambda (c_hi - 2),
+    where gram is the F_z Gram and w gram0 w^T = 2 den^2 nrd(v).  Every
+    lambda >= 0 is sound; lambda = 1/2 + 1/delta gives the smallest volume,
+    and WALK_LAMBDA_CAP keeps the completed squares well conditioned at
+    small delta, where G nears the degenerate gram - gram0.
+    """
+    lam = min(0.5 + 1.0 / delta, WALK_LAMBDA_CAP)
+    g = [[(1.0 + lam) * f - lam * s for f, s in zip(frow, srow)]
+         for frow, srow in zip(gram, gram0)]
+    return g, c_hi + lam * (c_hi - 2.0)
 
 
 def _iota_conj(v: Quat, x: float, y: float):

@@ -28,20 +28,31 @@ def matmul(A, B):
 
 
 def det(A) -> int:
-    """Cofactor-expansion determinant; intended for n <= 4."""
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    total = 0
-    sign = 1
-    for j in range(n):
-        if A[0][j]:
-            minor = [[A[i][k] for k in range(n) if k != j] for i in range(1, n)]
-            total += sign * A[0][j] * det(minor)
-        sign = -sign
-    return total
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss: after step k every entry below row k is a (k+1)-minor of A, so
+    each division by the previous pivot is exact.  A zero pivot is swapped
+    with a lower row that is nonzero in its column, flipping the sign; if
+    there is none, the determinant is 0.
+    """
+    M = [list(row) for row in A]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                return 0
+            M[k], M[i] = M[i], M[k]
+            sign = -sign
+        rk = M[k]
+        pk = rk[k]
+        for ri in M[k + 1:]:
+            b = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (ri[j] * pk - b * rk[j]) // prev
+        prev = pk
+    return sign * M[-1][-1]
 
 
 def hnf(rows) -> IntMat:

@@ -697,10 +697,8 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
     for c1 in range(c1_lo, c1_hi + 1):
         w0 = c1 * p00
         base1 = c1 * p01
-        q0 = h00 * w0 * w0
         # second coordinate: base1 + c2 * p11 in [-bound, bound]
-        lo = -(bound + base1)
-        c2_lo = -((-lo) // p11) if lo < 0 else (lo + p11 - 1) // p11
+        c2_lo = -((bound + base1) // p11)
         c2_hi = (bound - base1) // p11
         if pruned:
             t1 = budget - a1 * c1 * c1
@@ -708,14 +706,16 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
                 continue
             r = sqrt(t1 / a2) * grow + slack
             centre = -m21 * c1
-            c2_lo, c2_hi = max(c2_lo, ceil(centre - r)), min(c2_hi, floor(centre + r))
+            lo = ceil(centre - r)
+            if lo > c2_lo:
+                c2_lo = lo
+            hi = floor(centre + r)
+            if hi < c2_hi:
+                c2_hi = hi
+        q0 = h00 * w0 * w0
         for c2 in range(c2_lo, c2_hi + 1):
-            w1 = base1 + c2 * p11
             base2 = c1 * p02 + c2 * p12
-            res2 = c1 * r0 + c2 * r1
-            q01 = q0 + h11 * w1 * w1 + s01 * w0 * w1
-            lo2 = -(bound + base2)
-            c3_lo = -((-lo2) // p22) if lo2 < 0 else (lo2 + p22 - 1) // p22
+            c3_lo = -((bound + base2) // p22)
             c3_hi = (bound - base2) // p22
             if pruned:
                 d2 = c2 + m21 * c1
@@ -724,11 +724,36 @@ def traceless_slices(lat: Lattice4, height: int, form=None):
                     continue
                 r = sqrt(t2 / a3) * grow + slack
                 centre = -(m31 * c1 + m32 * c2)
-                c3_lo, c3_hi = max(c3_lo, ceil(centre - r)), min(c3_hi, floor(centre + r))
-            for c3 in range(c3_lo, c3_hi + 1):
-                w2 = base2 + c3 * p22
-                qs = q01 + (h22 * w2 + s02 * w0 + s12 * w1) * w2
-                yield (w0, w1, w2), (res2 + c3 * r2) % den, qs
+                lo = ceil(centre - r)
+                if lo > c3_lo:
+                    c3_lo = lo
+                hi = floor(centre + r)
+                if hi < c3_hi:
+                    c3_hi = hi
+                if c3_lo > c3_hi:
+                    continue
+            w1 = base1 + c2 * p11
+            q01 = q0 + h11 * w1 * w1 + s01 * w0 * w1
+            lin = s02 * w0 + s12 * w1
+            # w2 steps by p22 and the residue by r2 < den, so one
+            # subtraction keeps j in [0, den)
+            j = (c1 * r0 + c2 * r1 + c3_lo * r2) % den
+            for w2 in range(base2 + c3_lo * p22, base2 + c3_hi * p22 + 1, p22):
+                yield (w0, w1, w2), j, q01 + (h22 * w2 + lin) * w2
+                j += r2
+                if j >= den:
+                    j -= den
+
+
+def box_slice_count(lat: Lattice4, height: int) -> int:
+    """An upper bound on the slices traceless_slices(lat, height) yields.
+
+    Coordinate k of the projection steps by the pivot p_kk of the slice
+    frame inside a window of width 2 height den, so it takes at most
+    2 height den // p_kk + 1 values.
+    """
+    width = 2 * height * lat.den
+    return prod(width // row[k] + 1 for k, row in enumerate(lat.slice_frame))
 
 
 def norm_keys(lat: Lattice4, m: int, height: int, form=None) -> list[tuple[int, ...]]:

@@ -255,6 +255,10 @@ MALFORMED = [
     ("delta-nan", ["count", "--delta", "nan"], None),
     ("delta-inf", ["count", "--delta", "inf"], None),
     ("delta-beyond-float", ["count"], {"delta": "1e400"}),
+    # finite, but the sweep's box would be far too large to walk
+    ("delta-1e300", ["count", "--delta", "1e300"], None),
+    ("delta-1e8-lmax-2", ["count", "--delta", "1e8", "--lmax", "2"], None),
+    ("lmax-beyond-float", ["count", "--lmax", "1" + "0" * 400], None),
     ("order-mat-not-list", ["order"], {"order": {"mat": 7}}),
     # flags the subcommand does not offer, and a --threads that is not positive
     ("exponent-lmax", ["exponent", "--n", "2^4", "--lmax", "3"], None),

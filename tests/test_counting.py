@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -33,7 +34,7 @@ from quatlat import (
 from quatlat.arith import sqrt_ceil_of_product
 from quatlat.cli import sample_points
 from quatlat.counting import _max_divisor_count, _pair_det
-from quatlat.errors import SearchExhausted, TheoremViolation, UsageError
+from quatlat.errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
 from quatlat.quat import apply_quat
 
 from oracles import is_unimodular, naive_norm_elements
@@ -85,6 +86,68 @@ def test_congruences_and_injectivity(mo):
                 key = (tup.a0, tup.a_a, tup.a_b, tup.a3)
                 assert key not in seen or seen[key] == a, (lat.level(), key)
                 seen[key] = a
+
+
+def _fraction_projection(mo, w, alpha):
+    """(a0, A, B, a3) from the Fraction frame coordinates of alpha times g."""
+    coords = mo.frame_coords(alpha)
+    assert all(c.denominator == 1 for c in coords)
+    a0, a1, a2, a3 = (int(c) for c in coords)
+    g = w.g_mat
+    return (a0, *(a1 * g[0][k] + a2 * g[1][k] + a3 * g[2][k] for k in range(3)))
+
+
+def _fraction_congruences(w, tup) -> bool:
+    """The three residue constraints, term by term as the witness states them."""
+    _a0, aa, ab, a3 = tup
+    m1, m2, m3 = w.shape.tuple3()
+    dm = w.delta_mat
+    r_inv = Fraction(w.big_r_inv)
+    s_inv = pow(w.big_s, -1, w.modulus)
+    big_r2 = dm[1][0] + w.r2 * dm[1][1] + w.r3 * dm[1][2]
+    b_res = ab - aa * r_inv * w.s_prime
+    rhs = aa * r_inv * dm[0][2] + s_inv * b_res * (dm[1][2] - big_r2 * r_inv * dm[0][2])
+    return aa % m1 == 0 and b_res % m2 == 0 and (a3 - rhs) % m3 == 0
+
+
+@pytest.fixture(scope="module")
+def certify_witnesses(mo):
+    """The benchmark's certify orders, each with its witness."""
+    i1 = mo.alg.quat(0, 1, 0, 0)
+    lats = [eichler_order(mo, n)[0] for n in (5, 7, 11, 13)]
+    lats += [z_plus_zw_order(mo, i1, p) for p in (5, 7)]
+    lats += [z_plus_f_order(mo, f) for f in (3, 5)]
+    return [(lat, build_injection(lat)) for lat in lats]
+
+
+def test_congruences_match_a_fraction_recomputation(mo, certify_witnesses):
+    t = frame_bc(mo, 1.0)
+    z = sample_points(BOX, 1, 3)[0]
+    checked = 0
+    for lat, w in certify_witnesses:
+        # a tampered S' makes some lattice elements fail the second
+        # congruence, so both answers of verify_congruences are compared
+        bent = replace(w, s_prime=w.s_prime + 1)
+        for m in range(1, 9):
+            for a in enumerate_norm_ball(lat, m, z, 1.0, t):
+                doubled = a + a  # the certify convention: 2 alpha is in w.lat
+                tup = _fraction_projection(mo, w, doubled)
+                p = project_alpha(w, doubled)
+                assert (p.a0, p.a_a, p.a_b, p.a3) == tup
+                assert verify_congruences(w, doubled) is _fraction_congruences(w, tup) is True
+                assert verify_congruences(bent, doubled) is _fraction_congruences(bent, tup)
+                checked += 1
+    assert checked > 100
+    # outside the witness lattice: non-integral frame coordinates, and an
+    # integral element of the maximal order that Z + 3 O does not hold
+    lat, w = certify_witnesses[6]
+    half = mo.quat_from_frame((1, 1, 0, 0), 2)
+    with pytest.raises(ContainmentError, match="integer coords"):
+        verify_congruences(w, half)
+    with pytest.raises(ContainmentError, match="witness lattice"):
+        project_alpha(w, mo.i_basis[0])
+    with pytest.raises(ContainmentError, match="witness lattice"):
+        verify_congruences(w, mo.i_basis[0])
 
 
 def test_projection_is_linear(mo):
@@ -313,6 +376,12 @@ def ball_oracle(mo):
 )
 @example(2, 4, 2.75, 0.3, 1.5)  # a point far outside the z-box
 @example(3, 3, -1.9, 3.1, 0.6)
+# small deltas: lambda = 1/2 + 1/delta = 20.5 in the walk form, and 1000.5,
+# which WALK_LAMBDA_CAP cuts to 32
+@example(0, 4, 0.05, 1.02, 0.05)
+@example(1, 4, -0.3, 0.9, 0.05)
+@example(0, 4, 0.05, 1.02, 1e-3)
+@example(3, 1, 0.2, 1.1, 1e-3)
 def test_enumerate_norm_ball_matches_naive_oracle(mo, ball_oracle, k, m, x, y, delta):
     lat, naive = ball_oracle[(k, m)]
     z = UpperHalfPoint(x, y)
@@ -355,3 +424,19 @@ def test_prefilter_keeps_an_element_on_the_ball_boundary(mo, seed):
     assert alpha in on_boundary
     rep = sweep_counts(CountQuery(lat, z, delta, m), build_injection(lat), t)
     assert dict(rep.per_m)[m] == len(on_boundary)
+
+
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("eps", [0.3, 0.1, 0.01])
+def test_walk_form_keeps_a_trace_zero_element_on_the_ball_boundary(mo, eps, scale):
+    # alpha = scale J has trace zero and fixes i, so at z = eps + i it moves
+    # z by u of about eps^2: lambda = 1/2 + 1/delta is 11.4, then past
+    # WALK_LAMBDA_CAP.  With a0 = 0, 2 a0^2 + F_z = (4 u + 2) m is also the
+    # walk form's bound up to PREFILTER_SLACK, so a walk cap below
+    # (c + lambda (c - 2)) den^2 m, c = 4 (delta + PREFILTER_SLACK) + 2,
+    # loses alpha
+    alpha = scale * mo.alg.quat(0, 0, 1, 0)
+    z = UpperHalfPoint(eps, 1.0)
+    delta = u_dist(z, apply_quat(alpha, z)) - 5e-10
+    found = enumerate_norm_ball(mo.lattice, scale * scale, z, delta, BoxConstant(delta, 2.0))
+    assert alpha in found

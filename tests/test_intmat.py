@@ -125,6 +125,36 @@ def test_solve_left_on_triangular():
         assert back == list(vec)
 
 
+@st.composite
+def square_matrices(draw, max_n=5, bound=10**4):
+    """Square integer matrices up to max_n x max_n, often singular or with
+    zero leading entries, so elimination needs row swaps or stops early."""
+    n = draw(st.integers(1, max_n))
+    entry = st.integers(-bound, bound)
+    m = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    zeros = draw(st.integers(0, n))
+    for i in range(min(zeros, n - 1)):
+        m[i][:i + 1] = [0] * (i + 1)  # zero pivot, and zeros to its left
+    if n > 1 and draw(st.booleans()):
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        m[draw(st.integers(0, n - 1))] = [sum(c * row[j] for c, row in zip(coefs, m))
+                                           for j in range(n)]
+    return m
+
+
+@FEW
+@given(square_matrices())
+@example([[0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 2, 3], [0, 4, 5], [0, 6, 7]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[0, 1, 2, 3, 4], [0, 0, 1, 2, 3], [1, 2, 0, 1, 2], [5, 0, 1, 0, 1], [2, 2, 2, 2, 0]])
+def test_det_matches_naive_oracle(m):
+    assert intmat.det(m) == naive_det(m)
+    assert intmat.det([tuple(r) for r in m]) == naive_det(m)
+
+
 def test_singular_inputs():
     with pytest.raises(ZeroDivisionError):
         intmat.inverse_frac([[1, 2], [2, 4]])

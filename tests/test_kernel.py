@@ -6,6 +6,7 @@ frame maps in quatlat.lattice are checked against an independent path.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -26,7 +27,7 @@ from quatlat import (
     z_plus_f_order,
     z_plus_zw_order,
 )
-from quatlat.lattice import ideal_power_order, norm_keys
+from quatlat.lattice import box_slice_count, ideal_power_order, norm_keys
 
 from oracles import naive_norm_elements, row_span_equal
 
@@ -176,6 +177,46 @@ def test_slice_residues_are_the_least_completions(slice_lattices, pick):
         assert lat.contains_coords([Fraction(j, den)] + v)
         assert not any(lat.contains_coords([Fraction(i, den)] + v) for i in range(j))
         assert qs == den * den * frac_nrd(vec_mat([0] + v, lat.order.basis), alg.p, alg.q)
+
+
+@pytest.fixture(scope="module")
+def walk_lattices(mo, slice_lattices):
+    """slice_lattices, then two lattices whose last projection row needs a
+    scalar residue r2 != 0: span(1, i1, i2, (1 + i3) / 2) and
+    span(1, i1, (1 + i2) / 2, (1 + i3) / 3), whose scalars are still Z."""
+    f = Fraction
+    rows1 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [f(1, 2), 0, 0, f(1, 2)]]
+    rows2 = [[1, 0, 0, 0], [0, 1, 0, 0], [f(1, 2), 0, f(1, 2), 0], [f(1, 3), 0, 0, f(1, 3)]]
+    extra = [mo.lattice_from_frame_rows(rows) for rows in (rows1, rows2)]
+    assert all(lat.slice_frame[2][3] for lat in extra)
+    return slice_lattices + extra
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 9), st.integers(1, 2), st.integers(0, 40))
+@example(5, 2, 20)
+@example(7, 2, 8)
+@example(8, 2, 3)  # the ball, not the box, sets the c3 window's odd start
+@example(9, 1, 2)
+def test_full_walk_is_the_lexicographic_naive_scan(walk_lattices, pick, height, cap):
+    # the box walk yields every projection point of the box once, in
+    # lexicographic order of w, with its least scalar completion j; the
+    # walk pruned to the ball |w|^2 <= cap den^2 keeps its slices in order
+    lat = walk_lattices[pick]
+    den = lat.den
+    b = height * den
+    want = []
+    for w in product(range(-b, b + 1), repeat=3):
+        v = [Fraction(c, den) for c in w]
+        j = next((j for j in range(den) if lat.contains_coords([Fraction(j, den)] + v)), None)
+        if j is not None:
+            want.append((w, j))
+    got = [(w, j) for w, j, _qs in traceless_slices(lat, height)]
+    assert got == want
+    assert len(got) <= box_slice_count(lat, height)
+    unit = ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], cap * den * den)
+    pruned = [(w, j) for w, j, _qs in traceless_slices(lat, height, unit)]
+    assert pruned == [(w, j) for w, j in want if sum(c * c for c in w) <= cap * den * den]
 
 
 def test_slices_refuse_scalars_finer_than_z(mo):
