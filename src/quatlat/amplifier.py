@@ -15,6 +15,11 @@ from math import gcd, lcm
 from .arith import divisors, factorize, is_squarefree, primes_in_range, smallest_root_multiple
 from .errors import TheoremViolation, UsageError
 
+# largest lambda amplifier_spec accepts: the work grows like lambda^2, about
+# 2.4 s at 1000 and 22 s at 3000 for `amp --lambda` on one core
+MAX_AMP_LAMBDA = 3000
+
+
 @dataclass(frozen=True)
 class Cx:
     """Complex number with exact rational parts."""
@@ -216,6 +221,8 @@ def amplifier_spec(
     Sign convention: c_r = |lambda(r)| / lambda(r) when lambda(r) != 0, else 1.
     """
     lam = Fraction(lambda_param)
+    if lam > MAX_AMP_LAMBDA:
+        raise UsageError(f"lambda must be at most {MAX_AMP_LAMBDA}: the work grows like lambda^2")
     primes = _amplifier_primes(lam, bad)
     if not primes:
         raise UsageError("no primes in the amplifier window")

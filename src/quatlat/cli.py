@@ -125,9 +125,10 @@ def _lattice_rows(obj, what: str) -> tuple[list[list[int]], int]:
         raise UsageError(f"{what} must be an object with 'mat' (16 integers) and 'den'")
     mat = obj["mat"]
     den = obj.get("den", 1)
-    if not isinstance(mat, list) or len(mat) != 16 or not all(isinstance(v, int) for v in mat):
+    # JSON true and false load as bool, a subclass of int
+    if not isinstance(mat, list) or len(mat) != 16 or not all(type(v) is int for v in mat):
         raise UsageError(f"{what}.mat must hold exactly 16 integers")
-    if not isinstance(den, int) or den < 1:
+    if type(den) is not int or den < 1:
         raise UsageError(f"{what}.den must be a positive integer")
     return [mat[4 * i:4 * i + 4] for i in range(4)], den
 
@@ -182,7 +183,9 @@ def load_config(args, need_lattice: bool = True) -> ExperimentConfig:
     if not isinstance(sweep, dict):
         raise UsageError("sweep must be a JSON object")
     l_max = _to_int(sweep.get("l_max", 10), "sweep.l_max")
-    squares_only = bool(sweep.get("squares_only", False))
+    squares_only = sweep.get("squares_only", False)
+    if not isinstance(squares_only, bool):
+        raise UsageError(f"sweep.squares_only must be true or false, got {squares_only!r}")
     samples = _to_int(sweep.get("samples", 4), "sweep.samples")
     seed = _to_int(sweep.get("seed", 0), "sweep.seed")
     if getattr(args, "lmax", None) is not None:

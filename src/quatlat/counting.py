@@ -7,10 +7,11 @@ down modulo the shape divisors M1, M2, M3.  Multiplying the resulting choice
 counts gives a fully explicit upper bound on how many lattice elements of
 norm up to L can move a base point by at most delta.
 
-Counts themselves come from an exact sweep: the trace-zero projection of the
-lattice is walked point by point, each slice is completed by an integer
-square root, and the hyperbolic condition is tested with the same primitive
-as the one-norm-at-a-time reference enumerator.
+Counts come from one ball walk, _ball_walk: the trace-zero projection of
+the lattice is walked point by point, each slice is completed by integer
+square roots, and in_ball decides every candidate.  sweep_counts walks the
+coordinate box once for all norms up to l_max; enumerate_norm_ball walks one
+norm inside a smaller ellipsoid.
 """
 
 from __future__ import annotations
@@ -21,16 +22,9 @@ from functools import cached_property
 from math import gcd, inf, isqrt, sqrt
 
 from . import coprime, intmat
-from .arith import divisor_count, is_square, sqrt_ceil_of_product
+from .arith import divisor_count, sqrt_ceil_of_product
 from .errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
-from .lattice import (
-    Lattice4,
-    Shape,
-    box_slice_count,
-    norm_elements,
-    norm_keys,
-    traceless_slices,
-)
+from .lattice import Lattice4, Shape, box_slice_count, norm_elements, traceless_slices
 from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
 
 U_SLACK = 1e-9
@@ -328,6 +322,62 @@ def explicit_bound(
     return scalars + min(c_aa * c_ab * c_a3, (2 * tl + 1) ** 3) * tau
 
 
+def _ball_walk(lat, gram, z, delta, norms, height, form=None, h_max=None):
+    """Yield (m, key, alpha) for each alpha in lat with nrd m in norms and u <= delta.
+
+    key = (h, w0, w1, w2) is den times alpha's frame coordinates; the slices
+    are traceless_slices(lat, height, form).  Each slice first takes its
+    exact integer window of scalars h = j mod den with h^2 + qs in
+    den^2 norms (and |h| <= h_max when given).  Only then is F = w gram w^T
+    taken and the move condition 2 h^2 + F <= (4 delta + 2) den^2 m, widened
+    by PREFILTER_SLACK, tested on the integers; in_ball decides the rest.
+    """
+    den = lat.den
+    dd = den * den
+    n_lo, n_hi = dd * min(norms), dd * max(norms)
+    f00, f11, f22 = gram[0][0], gram[1][1], gram[2][2]
+    f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
+    c_lo = 4.0 * (delta + PREFILTER_SLACK)
+    c_hi = c_lo + 2.0
+    h_cap = inf if h_max is None else h_max
+    qf = lat.order.quat_from_frame
+    for wv, j, qs in traceless_slices(lat, height, form):
+        top = n_hi - qs
+        if top < 0:
+            continue
+        h_hi = isqrt(top)
+        if h_hi > h_cap:
+            h_hi = h_cap
+        bottom = n_lo - qs
+        if bottom > h_hi * h_hi:
+            continue
+        w0, w1, w2 = wv
+        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + (
+            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2
+        )
+        # 2 h^2 + F <= c_hi (h^2 + qs) is the floor c_lo h^2 >= F - c_hi qs;
+        # the - 2 absorbs float rounding
+        floor_f = (f_scaled - c_hi * qs) / c_lo
+        h_lo = 0 if floor_f <= 0 else max(0, isqrt(int(floor_f)) - 2)
+        if bottom > h_lo * h_lo:
+            h_lo = isqrt(bottom - 1) + 1
+        if h_lo > h_hi:
+            continue
+        # |h| in [h_lo, h_hi], h = j mod den, on each side of 0
+        for lo, hi in ((-h_hi, -h_lo), (h_lo, h_hi)) if h_lo else ((-h_hi, h_hi),):
+            for h in range(lo + (j - lo) % den, hi + 1, den):
+                num = h * h + qs
+                if num % dd:
+                    continue
+                m = num // dd
+                if m not in norms or 2 * h * h + f_scaled > c_hi * num:
+                    continue
+                key = (h, w0, w1, w2)
+                alpha = qf(key, den)
+                if in_ball(alpha, z, delta):
+                    yield m, key, alpha
+
+
 def enumerate_norm_ball(
     lat: Lattice4, m: int, z: UpperHalfPoint, delta: float, t: BoxConstant
 ) -> list[Quat]:
@@ -343,31 +393,16 @@ def enumerate_norm_ball(
     the first inequality plus lambda times the second gives
     (1 + lambda) F_z(v) - 2 lambda nrd(v) <= (c + lambda (c - 2)) m,
     a positive definite form since F_z(v) >= 2 |nrd(v)|; see _walk_form.
+    The elements come sorted by their frame coordinates.
     """
     if m < 1:
         raise UsageError("norm must be positive")
     height = sqrt_ceil_of_product(t.t, m)
-    den = lat.den
     gram = _fz_gram(lat.order, z)
-    f00, f11, f22 = gram[0][0], gram[1][1], gram[2][2]
-    f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
-    c_hi = 4.0 * (delta + PREFILTER_SLACK) + 2.0
-    num = den * den * m
-    walk_gram, walk_c = _walk_form(gram, lat.order.gram0, delta, c_hi)
-    qf = lat.order.quat_from_frame
-    found = []
-    for key in norm_keys(lat, m, height, (walk_gram, walk_c * num)):
-        h, w0, w1, w2 = key
-        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + (
-            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2
-        )
-        # the pre-Quat test of sweep_counts, in the same form
-        if 2 * h * h + f_scaled > c_hi * num:
-            continue
-        alpha = qf(key, den)
-        if in_ball(alpha, z, delta):
-            found.append(alpha)
-    return found
+    form = _walk_form(gram, lat.order.gram0, delta, lat.den * lat.den * m)
+    walk = _ball_walk(lat, gram, z, delta, range(m, m + 1), height, form, height * lat.den)
+    # the keys are distinct, so sorting never compares two Quats
+    return [alpha for _m, _key, alpha in sorted(walk)]
 
 
 @dataclass(frozen=True)
@@ -410,56 +445,18 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
         raise UsageError(
             f"the sweep's box holds more than {MAX_SWEEP_SLICES:,} slices; lower delta or l_max"
         )
+    norms = ({ell * ell for ell in range(1, q.l_max + 1)} if q.squares_only
+             else range(1, max_norm + 1))
     counts: dict[int, int] = {}
-    den = q.lat.den
-    dd = den * den
-    order = q.lat.order
-    gram = _fz_gram(order, q.z)
-    f00, f11, f22 = gram[0][0], gram[1][1], gram[2][2]
-    f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
-    pre_delta = q.delta + PREFILTER_SLACK
-    c_hi = 4.0 * pre_delta + 2.0
-    for wv, j, qs in traceless_slices(q.lat, height):
-        h2_cap = dd * max_norm - qs
-        if h2_cap < 0:
-            continue
-        w0, w1, w2 = wv
-        f_scaled = f00 * w0 * w0 + f11 * w1 * w1 + f22 * w2 * w2 + (
-            f01 * w0 * w1 + f02 * w0 * w2 + f12 * w1 * w2
-        )
-        # ball pre-filter: with alpha = x0 + v and m = nrd(alpha), the move
-        # condition u <= delta reads 2 x0^2 + F <= (4 delta + 2) m, which is
-        # a floor on h^2 (scalars move nothing, so large h only helps)
-        floor_f = (f_scaled - c_hi * qs) / (4.0 * pre_delta)
-        h_lo = 0 if floor_f <= 0 else max(0, isqrt(int(floor_f)) - 2)
-        h_hi = isqrt(h2_cap)
-        first = h_lo + ((j - h_lo) % den)
-        for habs in range(first, h_hi + 1, den):
-            for h in ((habs, -habs) if habs else (0,)):
-                if h % den != j % den:
-                    continue
-                num = h * h + qs
-                if num <= 0 or num % dd:
-                    continue
-                m = num // dd
-                if q.squares_only and not is_square(m):
-                    continue
-                # 2 h^2 + F <= (4 delta + 2) den^2 m on the integers first, so
-                # only ball members (plus the slack) become Quats
-                if 2 * h * h + f_scaled > c_hi * num:
-                    continue
-                alpha = order.quat_from_frame((h, w0, w1, w2), den)
-                if in_ball(alpha, q.z, q.delta):
-                    # the walk's height serves max_norm; t certifies the
-                    # tighter ceil(t sqrt(m)) box for each norm m met
-                    hm = sqrt_ceil_of_product(t.t, m) * den
-                    if abs(h) > hm or any(abs(c) > hm for c in wv):
-                        raise TheoremViolation(
-                            f"{alpha} of norm {m} moves z = ({q.z.x!r}, "
-                            f"{q.z.y!r}) by at most delta = {q.delta!r} but "
-                            f"lies outside the box of t = {t.t!r}"
-                        )
-                    counts[m] = counts.get(m, 0) + 1
+    gram = _fz_gram(q.lat.order, q.z)
+    for m, key, alpha in _ball_walk(q.lat, gram, q.z, q.delta, norms, height):
+        hm = sqrt_ceil_of_product(t.t, m) * q.lat.den
+        if any(abs(c) > hm for c in key):
+            raise TheoremViolation(
+                f"{alpha} of norm {m} moves z = ({q.z.x!r}, {q.z.y!r}) by at "
+                f"most delta = {q.delta!r} but lies outside the box of t = {t.t!r}"
+            )
+        counts[m] = counts.get(m, 0) + 1
     total = sum(counts.values())
     if split_query:
         bound = explicit_bound(w, t, q.l_max, q.squares_only)
@@ -651,19 +648,21 @@ def _fz_gram(order, z: UpperHalfPoint) -> list[list[float]]:
             for u0, u1, u2, u3 in g]
 
 
-def _walk_form(gram, gram0, delta: float, c_hi: float):
-    """(G, c) with w G w^T <= c den^2 m holding every norm-m ball candidate.
+def _walk_form(gram, gram0, delta: float, scale: int):
+    """(G, c scale): with scale = den^2 m, w G w^T <= c scale holds every norm-m ball candidate.
 
     G = (1 + lambda) gram - lambda gram0 and c = c_hi + lambda (c_hi - 2),
-    where gram is the F_z Gram and w gram0 w^T = 2 den^2 nrd(v).  Every
-    lambda >= 0 is sound; lambda = 1/2 + 1/delta gives the smallest volume,
-    and WALK_LAMBDA_CAP keeps the completed squares well conditioned at
-    small delta, where G nears the degenerate gram - gram0.
+    where gram is the F_z Gram, w gram0 w^T = 2 den^2 nrd(v) and c_hi =
+    4 (delta + PREFILTER_SLACK) + 2.  Every lambda >= 0 is sound; lambda =
+    1/2 + 1/delta gives the smallest volume, and WALK_LAMBDA_CAP keeps the
+    completed squares well conditioned at small delta, where G nears the
+    degenerate gram - gram0.
     """
+    c_hi = 4.0 * (delta + PREFILTER_SLACK) + 2.0
     lam = min(0.5 + 1.0 / delta, WALK_LAMBDA_CAP)
     g = [[(1.0 + lam) * f - lam * s for f, s in zip(frow, srow)]
          for frow, srow in zip(gram, gram0)]
-    return g, c_hi + lam * (c_hi - 2.0)
+    return g, (c_hi + lam * (c_hi - 2.0)) * scale
 
 
 def _iota_conj(v: Quat, x: float, y: float):

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import ceil, floor, gcd, isqrt, lcm, prod, sqrt
 
 from . import intmat
-from .arith import factorize
+from .arith import factorize, smallest_root_multiple
 from .errors import (
     ContainmentError,
     DegenerateLatticeError,
@@ -368,11 +368,7 @@ class Lattice4:
             rows.append(c)
         d, _, _ = intmat.snf_with_transforms(rows)
         a = tuple(d[i][i] for i in range(4))
-        idx = a[0] * a[1] * a[2] * a[3]
-        t1 = 1
-        for p, e in factorize(idx).items():
-            t1 *= p ** ((e + 1) // 2)
-        return InvariantFactors(a, t1)
+        return InvariantFactors(a, smallest_root_multiple(a[0] * a[1] * a[2] * a[3]))
 
     @cached_property
     def invariant_factors(self) -> InvariantFactors:
@@ -514,17 +510,8 @@ def two_sided_prime_ideal(mo: MaximalOrder, p: int) -> Lattice4:
     """
     if p not in mo.alg.ramified_set():
         raise UsageError(f"{p} is not ramified in the algebra")
-    g = None
-    for h in range(1, 6):
-        for x in norm_elements(mo.lattice, p, h):
-            g = x
-            break
-        else:
-            for x in norm_elements(mo.lattice, -p, h):
-                g = x
-                break
-        if g is not None:
-            break
+    g = next((x for h in range(1, 6) for n in (p, -p) for x in norm_elements(mo.lattice, n, h)),
+             None)
     if g is None:
         raise SearchExhausted(f"no element of reduced norm +-{p} at small height")
     basis = mo.lattice.basis_quats()
@@ -756,14 +743,13 @@ def box_slice_count(lat: Lattice4, height: int) -> int:
     return prod(width // row[k] + 1 for k, row in enumerate(lat.slice_frame))
 
 
-def norm_keys(lat: Lattice4, m: int, height: int, form=None) -> list[tuple[int, ...]]:
+def norm_keys(lat: Lattice4, m: int, height: int) -> list[tuple[int, ...]]:
     """Den-scaled frame coordinates of the elements norm_elements returns.
 
     Each key (h, w0, w1, w2) is den times the frame coordinates of one
     element of lat with reduced norm m and frame coords <= height, and the
     keys come sorted, which orders them like the frame coordinates
-    themselves.  form, when given, is passed to traceless_slices and drops
-    elements whose trace-zero part lies outside that ellipsoid.
+    themselves.
 
     The scan walks the trace-zero projection and completes each slice by an
     exact integer square root, so only genuine lattice points are ever
@@ -773,7 +759,7 @@ def norm_keys(lat: Lattice4, m: int, height: int, form=None) -> list[tuple[int, 
     dd = den * den
     h_max = height * den
     keys = []
-    for w, j, qs in traceless_slices(lat, height, form):
+    for w, j, qs in traceless_slices(lat, height):
         rhs = dd * m - qs
         if rhs < 0:
             continue

@@ -18,7 +18,7 @@ from quatlat import (
     newform_bound,
     smallest_root_cover,
 )
-from quatlat.amplifier import Cx, _allowed_index
+from quatlat.amplifier import MAX_AMP_LAMBDA, Cx, _allowed_index
 from quatlat.errors import TheoremViolation, UsageError
 
 from oracles import eval_combo
@@ -94,6 +94,18 @@ def test_amplifier_single_prime_window():
     combo = build_amplifier(spec_small)
     got = {l: c.re for l, c in combo.coeffs}
     assert got == {1: 2, 23**2: 2, 23**4: 1}
+
+
+def test_amplifier_window_above_the_cap_is_refused():
+    # the work grows like lambda^2, so a window past MAX_AMP_LAMBDA is refused
+    # before its primes are listed
+    for lam in (Fraction(MAX_AMP_LAMBDA) + Fraction(1, 10), Fraction(10**400)):
+        with pytest.raises(UsageError, match="lambda must be at most"):
+            amplifier_spec(lam, BAD)
+    # every prime of the window is bad, so the cap itself reaches the next check
+    window = frozenset(range(MAX_AMP_LAMBDA, 2 * MAX_AMP_LAMBDA + 1))
+    with pytest.raises(UsageError, match="no primes"):
+        amplifier_spec(Fraction(MAX_AMP_LAMBDA), window)
 
 
 def test_amplifier_support_and_caps():

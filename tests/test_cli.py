@@ -116,6 +116,21 @@ def test_count_config_rationals_and_squares(tmp_path):
     assert all(r.split(",")[7] == "1" for r in rows)  # squares_only flag column
 
 
+def test_count_squares_only_takes_json_booleans(tmp_path):
+    def count(sweep, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"l_max": 4, "samples": 1, **sweep}}))
+        code, text = run_cli(["count", "--config", str(cfg), *flags], tmp_path)
+        assert code == 0
+        return [l for l in text.splitlines() if not l.startswith("#")]
+
+    plain = count({})
+    assert count({"squares_only": False}) == plain
+    squares = count({}, "--squares")
+    assert squares != plain
+    assert count({"squares_only": True}) == squares
+
+
 def test_algebra_and_order_reports(tmp_path):
     code, text = run_cli(["algebra"], tmp_path)
     assert code == 0
@@ -237,10 +252,15 @@ def test_out_file_is_only_written_on_success(tmp_path):
     assert not out.exists()
 
 
+IDENTITY = [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+
 MALFORMED = [
     # (label, argv, config JSON or None)
     ("amp-lambda-not-rational", ["amp", "--lambda", "abc"], None),
     ("amp-lambda-zero-denominator", ["amp", "--lambda", "1/0"], None),
+    # run time grows like lambda^2, so a window past the cap is refused at once
+    ("amp-lambda-above-cap", ["amp", "--lambda", "3001"], None),
+    ("amp-lambda-far-above-cap", ["amp", "--lambda", "1" + "0" * 400], None),
     ("lmax-not-integer", ["count"], {"sweep": {"l_max": "x"}}),
     ("lmax-fractional", ["count"], {"sweep": {"l_max": 2.5}}),
     ("lmax-boolean", ["count"], {"sweep": {"l_max": True}}),
@@ -260,6 +280,12 @@ MALFORMED = [
     ("delta-1e8-lmax-2", ["count", "--delta", "1e8", "--lmax", "2"], None),
     ("lmax-beyond-float", ["count", "--lmax", "1" + "0" * 400], None),
     ("order-mat-not-list", ["order"], {"order": {"mat": 7}}),
+    # JSON booleans are not integers, and only a JSON boolean sets squares_only
+    ("order-mat-boolean", ["order"], {"order": {"mat": [True] + [0] * 15}}),
+    ("order-den-boolean", ["order"], {"order": {"mat": IDENTITY, "den": True}}),
+    ("maximal-order-den-boolean", ["order"], {"maximal_order": {"mat": IDENTITY, "den": True}}),
+    ("squares-only-string", ["count"], {"sweep": {"squares_only": "false"}}),
+    ("squares-only-integer", ["count"], {"sweep": {"squares_only": 1}}),
     # flags the subcommand does not offer, and a --threads that is not positive
     ("exponent-lmax", ["exponent", "--n", "2^4", "--lmax", "3"], None),
     ("algebra-threads", ["algebra", "--threads", "2"], None),

@@ -37,7 +37,7 @@ from quatlat.counting import _max_divisor_count, _pair_det
 from quatlat.errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
 from quatlat.quat import apply_quat
 
-from oracles import is_unimodular, naive_norm_elements
+from oracles import is_unimodular, naive_norm_elements, naive_norm_table
 
 BOX = ZBox(-0.5, 0.5, 0.8, 1.2)
 Z0 = UpperHalfPoint(0.05, 1.02)
@@ -389,6 +389,74 @@ def test_enumerate_norm_ball_matches_naive_oracle(mo, ball_oracle, k, m, x, y, d
                                                            BoxConstant(delta, ORACLE_T))]
     want = [c for c in naive if in_ball(mo.quat_from_frame(c), z, delta)]
     assert got == want
+
+
+# height of the naive boxes below; every example's sweep box fits inside it
+SWEEP_H = 6
+
+
+@pytest.fixture(scope="module")
+def sweep_oracle(mo):
+    """Per lattice (den-2 maximal, Eichler-5): witness and the naive box's
+    elements of each norm up to 9, the largest a sweep below reaches."""
+    out = []
+    for lat in (mo.lattice, eichler_order(mo, 5)[0]):
+        table = naive_norm_table(lat, SWEEP_H)
+        quats = {m: [mo.quat_from_frame(c) for c in table.get(m, [])] for m in range(1, 10)}
+        out.append((lat, build_injection(lat), quats))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 1),
+    st.booleans(),
+    st.integers(1, 3),
+    st.floats(-1.2, 1.2),
+    st.floats(0.6, 2.0),
+    st.floats(1e-3, 0.5),
+)
+@example(0, False, 3, 1.2, 0.6, 0.5)  # outside the z-box, with the largest t
+@example(1, True, 2, -1.1, 1.9, 1e-3)
+@example(0, True, 2, 0.05, 1.02, 0.3)
+@example(1, False, 3, 0.3, 0.9, 1e-3)
+def test_sweep_counts_match_naive_ball_counts(mo, sweep_oracle, k, squares, l_max, x, y, delta):
+    # t is certified at z itself, so the naive box of height SWEEP_H holds
+    # every ball element of the swept norms; no enumerator of the package
+    # takes part in the expected counts
+    lat, w, quats = sweep_oracle[k]
+    z = UpperHalfPoint(x, y)
+    t = box_constant(delta, ZBox(x, x, y, y), mo.alg, frame_inv=mo._from_ijk)
+
+    def norms(ell):
+        return [i * i for i in range(1, ell + 1)] if squares else list(range(1, ell + 1))
+
+    while l_max > 1 and sqrt_ceil_of_product(t.t, norms(l_max)[-1]) > SWEEP_H:
+        l_max -= 1
+    assert sqrt_ceil_of_product(t.t, norms(l_max)[-1]) <= SWEEP_H
+    want = {}
+    for m in norms(l_max):
+        n = sum(1 for a in quats[m] if in_ball(a, z, delta))
+        if n:
+            want[m] = n
+    rep = sweep_counts(CountQuery(lat, z, delta, l_max, squares), w, t)
+    assert dict(rep.per_m) == want
+
+
+def test_walk_takes_negative_scalars_outside_the_residue_class(mo):
+    # in this den-5 lattice the slice w = (-5, -2, 0) completes by scalars
+    # h = 4 mod 5, and its norm-2 element has h = -11: |h| lies in the class
+    # 1, so a walk that steps |h| through the class 4 alone misses it
+    f = Fraction
+    lat = mo.lattice_from_frame_rows([[1, 0, 0, 0], [f(1, 5), 1, f(2, 5), 0],
+                                      [f(2, 5), 0, 1, 0], [f(2, 5), 0, 0, 1]])
+    alpha = mo.quat_from_frame((-11, -5, -2, 0), 5)
+    assert lat.den == 5 and lat.contains_quat(alpha) and alpha.nrd() == 2
+    z = UpperHalfPoint(0.0, 1.0)
+    delta = u_dist(z, apply_quat(alpha, z)) + 1e-3
+    found = enumerate_norm_ball(lat, 2, z, delta, BoxConstant(delta, 2.5))
+    assert alpha in found
+    assert all(lat.contains_quat(a) and a.nrd() == 2 for a in found)
 
 
 def test_max_divisor_count_matches_sieve():
