@@ -5,7 +5,7 @@ Everything here is exact big-integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -155,10 +155,6 @@ def sqrt_ceil_of_product(t: float, m: int) -> int:
     while k < v - 1e-12:
         k += 1
     return k
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def smallest_root_multiple(n: int, factored: dict[int, int] | None = None) -> int:

@@ -15,9 +15,10 @@ from itertools import combinations, product
 from math import gcd
 
 from .arith import factorize
+from .counting import MAX_SWEEP_SLICES
 from .errors import TheoremViolation, UsageError
 from .intmat import det
-from .lattice import Lattice4, _solve_int, _vecmat, norm_keys
+from .lattice import Lattice4, _solve_int, _vecmat, box_slice_count, norm_keys
 from .quat import Quat, mul_num, norm_num
 
 
@@ -33,6 +34,12 @@ class BalanceSearchSpec:
             raise UsageError("balance search needs an order")
         if self.k_max < 1 or self.height_max < 1:
             raise UsageError("k_max and height_max must be positive")
+        # (2 h den + 1)^3 bounds the search's last box without a Hermite form
+        h, mo_lat = self.height_max, self.ord.order.lattice
+        if ((2 * h * mo_lat.den + 1) ** 3 > MAX_SWEEP_SLICES
+                and box_slice_count(mo_lat, h) > MAX_SWEEP_SLICES):
+            raise UsageError(f"height {h} gives a box of more than "
+                             f"{MAX_SWEEP_SLICES:,} slices; lower the height")
         level_primes = set(factorize(self.ord.level()))
         if not level_primes <= set(self.primes):
             raise UsageError("primes must cover the prime divisors of the level")

@@ -467,7 +467,7 @@ def _build_parser() -> _Parser:
     p_bal.add_argument(
         "--height", type=int, default=64,
         help="coordinate cap; the search runs at heights 2, 4, 8, ... and "
-        "finally at the cap (default 64)")
+        "finally at the cap (default 64, at most 85: a box of 10^7 slices)")
     p_cop = add("coprime", config=False)
     p_cop.add_argument("--in", dest="infile", default=None)
     p_amp = add("amp")

@@ -125,7 +125,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
     trace-zero lattice adapted to it; the coprime solver then picks the
     residues making the required minors invertible modulo the level.
     """
-    sh = lat.shape()
+    sh, dm = lat.smith
     m1, m2, m3 = sh.tuple3()
     split = lat.z_plus_trace_zero()
     n_mod = split.level()
@@ -133,18 +133,9 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
         raise TheoremViolation("split lattice level must be twice the shape product")
     wshape = Shape(m1, m2, m3, 2)
 
-    b0 = [list(r) for r in lat.trace_zero_mat()]
-    d, _, v = intmat.snf_with_transforms(b0)
-    if (d[0][0], d[1][1], d[2][2]) != (m1, m2, m3):
-        raise TheoremViolation("Smith form disagrees with shape")
-    v_inv = intmat.inverse_frac(v)
-    delta_mat = tuple(
-        tuple(int(x) for x in row) for row in v_inv
-    )
-    if abs(intmat.det([list(r) for r in delta_mat])) != 1:
+    if abs(intmat.det(dm)) != 1:
         raise TheoremViolation("adapted basis must be unimodular")
 
-    dm = delta_mat
     r2, r3 = coprime.solve(
         coprime.CombinationProblem((dm[0][0], dm[0][1], dm[0][2]), n_mod, 2, bound)
     )[0]
@@ -157,7 +148,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
         ((-big_r2 * big_r_inv) % n_mod, 1, 0),
         (0, 0, 1),
     )
-    hd = intmat.matmul([list(r) for r in h_mat], [list(r) for r in dm])
+    hd = intmat.matmul(h_mat, dm)
     s1, s2_, s3_ = hd[1]
     if gcd(n_mod, s1, s2_, s3_) != 1:
         raise TheoremViolation("middle row must be unimodular mod the level")
@@ -179,7 +170,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
 
     w = InjectionWitness(
         lat=split,
-        delta_mat=delta_mat,
+        delta_mat=dm,
         r2=r2,
         r3=r3,
         s2=s2,
@@ -199,10 +190,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
 def _check_product_pattern(w: InjectionWitness) -> None:
     """The triple product must reduce to the upper-triangular pattern."""
     n = w.modulus
-    hdg = intmat.matmul(
-        intmat.matmul([list(r) for r in w.h_mat], [list(r) for r in w.delta_mat]),
-        [list(r) for r in w.g_mat],
-    )
+    hdg = intmat.matmul(intmat.matmul(w.h_mat, w.delta_mat), w.g_mat)
     dm = w.delta_mat
     want = (
         (w.big_r, w.s_prime, dm[0][2]),

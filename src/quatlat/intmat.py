@@ -10,7 +10,7 @@ because downstream code consumes the right transform as a change of basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntMat = list[list[int]]
 
@@ -165,30 +165,40 @@ def snf_with_transforms(A) -> tuple[IntMat, IntMat, IntMat]:
     return D, U, V
 
 
-def inverse_frac(A) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix with int or Fraction entries."""
+def adjugate(A) -> IntMat:
+    """Integer adjugate of a nonsingular square matrix: A @ adj(A) == det(A) * I.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: every entry stays a
+    minor of the augmented matrix, so each division by the previous pivot is
+    exact.  A row swap also negates one row, which keeps the determinant, so
+    the right block ends as det(A) * A^-1.  A singular A raises ZeroDivisionError.
+    """
     n = len(A)
-    M = [
-        [Fraction(A[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if M[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        pv = M[c][c]
-        M[c] = [v / pv for v in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [vr - f * vc for vr, vc in zip(M[r], M[c])]
+    M = [[int(v) for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        if not M[k][k]:
+            i = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if i is None:
+                raise ZeroDivisionError("singular matrix")
+            M[k], M[i] = M[i], [-v for v in M[k]]
+        rk = M[k]
+        pk = rk[k]
+        for i, ri in enumerate(M):
+            if i != k:
+                b = ri[k]
+                M[i] = [(v * pk - b * u) // prev for v, u in zip(ri, rk)]
+        prev = pk
     return [row[n:] for row in M]
+
+
+def inverse_frac(A) -> list[list[Fraction]]:
+    """Exact inverse of a square int or Fraction matrix: adj(den A) / (det(den A) / den)."""
+    rows = [[Fraction(v) for v in row] for row in A]
+    den = lcm(*(v.denominator for row in rows for v in row))
+    adj = adjugate([[v * den for v in row] for row in rows])
+    d = sum(a * row[0] for a, row in zip(rows[0], adj))  # det(den * A) / den
+    return [[v / d for v in row] for row in adj]
 
 
 def solve_left_frac(H, vec) -> list[Fraction]:

@@ -134,19 +134,12 @@ class MaximalOrder:
         T = ((den, 0, 0, 0),) + tuple(mat[1:])
         self._t_cols = tuple(zip(*T))
         self._t_den = den
-        # frame = ijk * den * T^-1; T is upper triangular with nonzero
-        # diagonal, so its adjugate det(T) * T^-1 is integral and comes out
-        # of exact back-substitution, one column of the identity at a time
+        # frame = ijk * den * adj(T) / det(T), reduced by one gcd; T is
+        # upper triangular, so det(T) is the product of its diagonal
+        adj = intmat.adjugate(T)
         t_det = prod(T[i][i] for i in range(4))
-        adj_cols = []
-        for j in range(4):
-            x = [0] * 4
-            for i in range(3, -1, -1):
-                s = t_det * (i == j) - sum(T[i][k] * x[k] for k in range(i + 1, 4))
-                x[i] = s // T[i][i]
-            adj_cols.append(x)
-        g = gcd(t_det, *(den * v for col in adj_cols for v in col))
-        self._f_cols = tuple(tuple(den * v // g for v in col) for col in adj_cols)
+        g = gcd(t_det, *(den * v for row in adj for v in row))
+        self._f_cols = tuple(tuple(den * v // g for v in col) for col in zip(*adj))
         self._f_den = t_det // g
         # integer Gram of the trace-zero frame under (x, y) -> trd(x * conj(y))
         dd = den * den
@@ -343,10 +336,19 @@ class Lattice4:
         return self.order.lattice_from_frame_rows(rows)
 
     def shape(self) -> Shape:
+        return self.smith[0]
+
+    @cached_property
+    def smith(self) -> tuple[Shape, tuple[tuple[int, ...], ...]]:
+        """(shape, Delta) from one Smith form U B V = D of the trace-zero basis B.
+
+        D's diagonal is (m1 | m2 | m3).  Delta = V^-1 is the basis change that
+        build_injection adapts to; det(V) = +-1, so V^-1 = det(V) adj(V).
+        """
         if not self.contains_one():
             raise UsageError("shape needs a lattice containing 1")
         n = self.level()
-        d, _, _ = intmat.snf_with_transforms([list(r) for r in self.trace_zero_mat()])
+        d, _, v = intmat.snf_with_transforms(self.trace_zero_mat())
         m1, m2, m3 = d[0][0], d[1][1], d[2][2]
         if n % (m1 * m2 * m3):
             raise TheoremViolation("level not divisible by trace-zero index")
@@ -356,7 +358,9 @@ class Lattice4:
         split_index = self.z_plus_trace_zero().index_in(self)
         if split_index * e != 2:
             raise TheoremViolation("split index and shape cofactor disagree")
-        return Shape(m1, m2, m3, e)
+        v_det = intmat.det(v)
+        delta = tuple(tuple(v_det * x for x in row) for row in intmat.adjugate(v))
+        return Shape(m1, m2, m3, e), delta
 
     def invariant_factors_in(self, other: "Lattice4") -> InvariantFactors:
         """Invariant factors of self inside other (self must be contained)."""
@@ -464,20 +468,13 @@ def lattice_product(a: Lattice4, b: Lattice4) -> Lattice4:
     )
 
 
-def _minor(mat, i: int, j: int):
-    """mat without row i and column j."""
-    return [[v for l, v in enumerate(row) if l != j] for k, row in enumerate(mat) if k != i]
-
-
 def _dual(mat, den: int):
     """(rows, denominator) of the dual of span(mat) / den under the dot product.
 
-    The dual basis is den * mat^-T = den * C / det(mat), C the cofactor
-    matrix; mat is an upper-triangular Hermite form, so det(mat) is the
-    product of its diagonal.
+    The dual basis is den * mat^-T = den * adj(mat)^T / det(mat); mat is an
+    upper-triangular Hermite form, so det(mat) is the product of its diagonal.
     """
-    rows = [[(-1) ** (i + j) * den * intmat.det(_minor(mat, i, j)) for j in range(4)]
-            for i in range(4)]
+    rows = [[den * v for v in col] for col in zip(*intmat.adjugate(mat))]
     return rows, prod(mat[i][i] for i in range(4))
 
 

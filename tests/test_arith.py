@@ -8,7 +8,6 @@ from quatlat.arith import (
     euler_phi,
     factorize,
     is_prime,
-    is_square,
     is_squarefree,
     mobius,
     omega,
@@ -85,9 +84,6 @@ def test_sqrt_ceil_of_product_is_sound():
 
 
 def test_square_helpers():
-    squares = {n * n for n in range(100)}
-    for n in range(1, 5000):
-        assert is_square(n) == (n in squares)
     assert smallest_root_multiple(12) == 6
     assert smallest_root_multiple(1) == 1
     for n in range(1, 300):

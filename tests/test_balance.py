@@ -34,7 +34,15 @@ from quatlat.balance import (
     _try_conjugator,
 )
 from quatlat.errors import TheoremViolation, UsageError
-from quatlat.lattice import Lattice4, MaximalOrder, _solve_int, _vecmat, norm_keys
+from quatlat.counting import MAX_SWEEP_SLICES
+from quatlat.lattice import (
+    Lattice4,
+    MaximalOrder,
+    _solve_int,
+    _vecmat,
+    box_slice_count,
+    norm_keys,
+)
 
 
 def _power_order(mo, p, n):
@@ -165,6 +173,19 @@ def test_spec_validation(mo):
     assert not not_an_order.is_order()
     with pytest.raises(UsageError):
         BalanceSearchSpec(not_an_order, frozenset({3}), 2, 16)
+
+
+def test_height_cap_refuses_boxes_past_the_sweep_limit(mo):
+    # on a maximal order the box at height h holds (4h + 1)(2h + 1)^2 slices:
+    # 85 is the last height within MAX_SWEEP_SLICES; the refusal comes before
+    # any walk, also for an order that is already balanced
+    assert box_slice_count(mo.lattice, 85) <= MAX_SWEEP_SLICES < box_slice_count(mo.lattice, 86)
+    lat = eichler_order(mo, 5)[0]
+    assert lat.is_balanced()
+    assert BalanceSearchSpec(lat, frozenset({5}), 1, 85).height_max == 85
+    for height in (86, 100_000, 10**400):
+        with pytest.raises(UsageError, match="lower the height"):
+            BalanceSearchSpec(lat, frozenset({5}), 1, height)
 
 
 def test_eichler_invariant_profile():

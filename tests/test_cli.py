@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,22 @@ def test_count_squares_only_takes_json_booleans(tmp_path):
     squares = count({}, "--squares")
     assert squares != plain
     assert count({"squares_only": True}) == squares
+
+
+GOLDEN_COUNT = json.loads((Path(__file__).resolve().parent / "golden_count.json").read_text())
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN_COUNT))
+def test_count_on_non_diagonal_frames_matches_recorded_csv(tmp_path, label):
+    # (3, -1)'s default frame matrix is 2 I; these maximal orders (the
+    # default ones of three other algebras and (2 + J) O (2 + J)^-1 in
+    # (3, -1)) have a non-diagonal one, so their CSVs depend on its inverse
+    case = GOLDEN_COUNT[label]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(case["config"]))
+    code, text = run_cli(["count", "--config", str(cfg), "--lmax", "4", "--seed", "3"], tmp_path)
+    assert code == 0
+    assert text == "\n".join(case["lines"]) + "\n"
 
 
 def test_algebra_and_order_reports(tmp_path):
@@ -291,6 +308,8 @@ MALFORMED = [
     ("algebra-threads", ["algebra", "--threads", "2"], None),
     ("coprime-config", ["coprime", "--config", "x.json"], None),
     ("balance-threads-0", ["balance", "--threads", "0"], None),
+    # the search's last box would hold about 1.3 * 10^16 slices
+    ("balance-height-above-cap", ["balance", "--height", "100000"], None),
     ("count-threads-not-integer", ["count", "--threads", "two"], None),
 ]
 

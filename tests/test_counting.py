@@ -1,7 +1,9 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,7 @@ from quatlat import (
     z_plus_f_order,
     z_plus_zw_order,
 )
+from quatlat import cli
 from quatlat.arith import sqrt_ceil_of_product
 from quatlat.cli import sample_points
 from quatlat.counting import _max_divisor_count, _pair_det
@@ -66,6 +69,9 @@ def test_witness_structure(mo):
         assert w.shape.e == 2
         assert w.modulus == 2 * sh.m1 * sh.m2 * sh.m3
         assert is_unimodular([list(r) for r in w.delta_mat])
+        # Delta is exactly V^-1 for the Smith transform V, sign included
+        _d, _u, v = intmat.snf_with_transforms(lat.trace_zero_mat())
+        assert intmat.matmul(w.delta_mat, v) == intmat.identity(3)
         assert (w.big_r * w.big_r_inv) % w.modulus == 1
         assert gcd(w.big_s, w.modulus) == 1
         assert (w.s2, w.s3) != (w.r2, w.r3)
@@ -508,3 +514,40 @@ def test_walk_form_keeps_a_trace_zero_element_on_the_ball_boundary(mo, eps, scal
     delta = u_dist(z, apply_quat(alpha, z)) - 5e-10
     found = enumerate_norm_ball(mo.lattice, scale * scale, z, delta, BoxConstant(delta, 2.0))
     assert alpha in found
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize("label", ["max-L2", "e5-sq2"])
+def test_count_takes_one_smith_form_per_lattice(mo, tmp_path, monkeypatch, capsys, label):
+    # the order's shape and the witness's adapted basis come from one Smith
+    # form, which _cmd_count, build_injection and each sample's sweep share
+    cfg = {"algebra": [3, -1], "sweep": {"samples": 2}}
+    if label == "e5-sq2":
+        lat = eichler_order(mo, 5)[0]
+        coords = [c for q in lat.basis_quats() for c in q.coords()]
+        den = lcm(*(c.denominator for c in coords))
+        cfg["order"] = {"den": den, "mat": [int(c * den) for c in coords]}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg))
+    calls = {"snf_with_transforms": 0, "inverse_frac": 0}
+
+    def counted(name):
+        fn = getattr(intmat, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(intmat, name, wrapper)
+
+    counted("snf_with_transforms")
+    counted("inverse_frac")
+    capsys.readouterr()
+    argv = ["count", "--config", str(cfg_file), "--seed", "1", "--lmax", "2"]
+    assert cli.main(argv + (["--squares"] if label == "e5-sq2" else [])) == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows == json.loads(REFERENCES.read_text())["count"]["1"][label]
+    assert calls == {"snf_with_transforms": 1, "inverse_frac": 0}

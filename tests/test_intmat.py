@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatlat import intmat
+from quatlat import QuatAlg, default_maximal_order, intmat
 
 from oracles import is_unimodular, naive_det, row_span_equal, sympy_row_hnf, sympy_snf_diag
 
@@ -153,6 +154,29 @@ def square_matrices(draw, max_n=5, bound=10**4):
 def test_det_matches_naive_oracle(m):
     assert intmat.det(m) == naive_det(m)
     assert intmat.det([tuple(r) for r in m]) == naive_det(m)
+
+
+@FEW
+@given(square_matrices())
+@example([[0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 2, 3], [0, 4, 5], [0, 6, 7]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[2, 0, 0, 0], [0, 1, 0, 1], [0, 0, 2, 0], [0, 0, 0, 2]])
+def test_adjugate_matches_sympy(m):
+    if naive_det(m) == 0:
+        with pytest.raises(ZeroDivisionError):
+            intmat.adjugate(m)
+    else:
+        assert intmat.adjugate(m) == sympy.Matrix(m).adjugate().tolist()
+
+
+@pytest.mark.parametrize("p,q", [(3, -1), (2, -5), (3, -7), (11, -3)])
+def test_inverse_frac_of_frame_matches_sympy(p, q):
+    basis = [list(row) for row in default_maximal_order(QuatAlg(p, q)).basis]
+    want = sympy.Matrix(basis).inv().tolist()
+    assert intmat.inverse_frac(basis) == [[Fraction(int(v.p), int(v.q)) for v in row]
+                                          for row in want]
 
 
 def test_singular_inputs():
