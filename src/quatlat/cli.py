@@ -79,7 +79,7 @@ def _algebra(raw) -> QuatAlg:
 
 
 def parse_factored(text: str) -> dict[int, int]:
-    """Parse 'p1^e1*p2^e2' (or '1') into an exponent map."""
+    """Parse 'p1^e1*p2^e2' (or '1') into an exponent map of a level <= 2^800."""
     text = text.strip()
     if text in ("", "1"):
         return {}
@@ -96,6 +96,12 @@ def parse_factored(text: str) -> dict[int, int]:
         if p < 2 or e < 0:
             raise UsageError(f"bad factored chunk {part!r}")
         out[p] = out.get(p, 0) + e
+    level = 1
+    for p, e in out.items():
+        # exponent prints value^24, at most level^16, which past 2^800 would
+        # overrun Python's 4,300-digit int printing; p^e >= 2^(e (bits - 1))
+        if e * (p.bit_length() - 1) > 800 or (level := level * p**e) > 2**800:
+            raise UsageError(f"level {text!r} exceeds the cap 2^800")
     return out
 
 
@@ -139,7 +145,7 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {what}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an int past 4,300 digits
         raise UsageError(f"{what} is not valid JSON: {e}") from None
 
 

@@ -9,9 +9,9 @@ norm up to L can move a base point by at most delta.
 
 Counts come from one ball walk, _ball_walk: the trace-zero projection of
 the lattice is walked point by point, each slice is completed by integer
-square roots, and in_ball decides every candidate.  sweep_counts walks the
-coordinate box once for all norms up to l_max; enumerate_norm_ball walks one
-norm inside a smaller ellipsoid.
+square roots, and the move condition, tested on the integers, decides every
+candidate.  sweep_counts walks the coordinate box once for all norms up to
+l_max; enumerate_norm_ball walks one norm inside a smaller ellipsoid.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .lattice import Lattice4, Shape, box_slice_count, norm_elements, traceless_
 from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
 
 U_SLACK = 1e-9
-# widening of delta in the float ball pre-filters; covers U_SLACK and the
-# rounding of the float F_z Gram, so only in_ball decides membership
+# widening of delta in the walk's scalar floor and _walk_form; covers U_SLACK
+# and float rounding, so the walk reaches every candidate the decision accepts
 PREFILTER_SLACK = 1e-6
 # largest weight of the norm identity in enumerate_norm_ball's walk form
 WALK_LAMBDA_CAP = 32.0
@@ -37,10 +37,11 @@ WALK_LAMBDA_CAP = 32.0
 # at a few microseconds a slice; a larger delta or l_max is refused before
 # the walk starts
 MAX_SWEEP_SLICES = 10**7
+SMALL_NORM_COUNT_FACTOR = 8
 
 
 def in_ball(alpha: Quat, z: UpperHalfPoint, delta: float) -> bool:
-    """Shared ball membership test: u(z, alpha z) <= delta plus fixed slack."""
+    """Reference ball test in Moebius form: u(z, alpha z) <= delta plus fixed slack."""
     return u_dist(z, apply_quat(alpha, z)) <= delta + U_SLACK
 
 
@@ -118,7 +119,7 @@ class InjectionWitness:
         return e2 % m2, (r_inv * dm[0][2] - k_b * e2) % m3, k_b % m3
 
 
-def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness:
+def build_injection(lat: Lattice4) -> InjectionWitness:
     """Construct the witness for (the split companion of) a lattice.
 
     The trace-zero part is put in Smith form to get a basis of the ambient
@@ -136,9 +137,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
     if abs(intmat.det(dm)) != 1:
         raise TheoremViolation("adapted basis must be unimodular")
 
-    r2, r3 = coprime.solve(
-        coprime.CombinationProblem((dm[0][0], dm[0][1], dm[0][2]), n_mod, 2, bound)
-    )[0]
+    r2, r3 = coprime.solve(coprime.CombinationProblem(dm[0], n_mod, 2))[0]
     big_r = dm[0][0] + r2 * dm[0][1] + r3 * dm[0][2]
     big_r_inv = pow(big_r, -1, n_mod)
     big_r2 = dm[1][0] + r2 * dm[1][1] + r3 * dm[1][2]
@@ -153,7 +152,7 @@ def build_injection(lat: Lattice4, bound: int | None = None) -> InjectionWitness
     if gcd(n_mod, s1, s2_, s3_) != 1:
         raise TheoremViolation("middle row must be unimodular mod the level")
 
-    picks = coprime.solve(coprime.CombinationProblem((s1, s2_, s3_), n_mod, 2, bound))
+    picks = coprime.solve(coprime.CombinationProblem((s1, s2_, s3_), n_mod, 2))
     chosen = None
     for tup in picks:
         if tup[0] != r2:
@@ -310,15 +309,16 @@ def explicit_bound(
     return scalars + min(c_aa * c_ab * c_a3, (2 * tl + 1) ** 3) * tau
 
 
-def _ball_walk(lat, gram, z, delta, norms, height, form=None, h_max=None):
-    """Yield (m, key, alpha) for each alpha in lat with nrd m in norms and u <= delta.
+def _ball_walk(lat, gram, delta, norms, height, form=None, h_max=None):
+    """Yield (m, key) for each alpha in lat with nrd m in norms and u <= delta.
 
     key = (h, w0, w1, w2) is den times alpha's frame coordinates; the slices
     are traceless_slices(lat, height, form).  Each slice first takes its
     exact integer window of scalars h = j mod den with h^2 + qs in
-    den^2 norms (and |h| <= h_max when given).  Only then is F = w gram w^T
-    taken and the move condition 2 h^2 + F <= (4 delta + 2) den^2 m, widened
-    by PREFILTER_SLACK, tested on the integers; in_ball decides the rest.
+    den^2 norms (and |h| <= h_max when given), cut by a scalar floor widened
+    by PREFILTER_SLACK.  Then F = w gram w^T decides each candidate by the
+    move condition 2 h^2 + F <= (4 (delta + U_SLACK) + 2) den^2 m, which
+    in_ball states in Moebius form.
     """
     den = lat.den
     dd = den * den
@@ -327,8 +327,8 @@ def _ball_walk(lat, gram, z, delta, norms, height, form=None, h_max=None):
     f01, f02, f12 = 2.0 * gram[0][1], 2.0 * gram[0][2], 2.0 * gram[1][2]
     c_lo = 4.0 * (delta + PREFILTER_SLACK)
     c_hi = c_lo + 2.0
+    c_in = 4.0 * (delta + U_SLACK) + 2.0
     h_cap = inf if h_max is None else h_max
-    qf = lat.order.quat_from_frame
     for wv, j, qs in traceless_slices(lat, height, form):
         top = n_hi - qs
         if top < 0:
@@ -358,12 +358,8 @@ def _ball_walk(lat, gram, z, delta, norms, height, form=None, h_max=None):
                 if num % dd:
                     continue
                 m = num // dd
-                if m not in norms or 2 * h * h + f_scaled > c_hi * num:
-                    continue
-                key = (h, w0, w1, w2)
-                alpha = qf(key, den)
-                if in_ball(alpha, z, delta):
-                    yield m, key, alpha
+                if m in norms and 2 * h * h + f_scaled <= c_in * num:
+                    yield m, (h, w0, w1, w2)
 
 
 def enumerate_norm_ball(
@@ -381,16 +377,15 @@ def enumerate_norm_ball(
     the first inequality plus lambda times the second gives
     (1 + lambda) F_z(v) - 2 lambda nrd(v) <= (c + lambda (c - 2)) m,
     a positive definite form since F_z(v) >= 2 |nrd(v)|; see _walk_form.
-    The elements come sorted by their frame coordinates.
+    Only the members are built as Quats, sorted by their frame coordinates.
     """
     if m < 1:
         raise UsageError("norm must be positive")
     height = sqrt_ceil_of_product(t.t, m)
     gram = _fz_gram(lat.order, z)
     form = _walk_form(gram, lat.order.gram0, delta, lat.den * lat.den * m)
-    walk = _ball_walk(lat, gram, z, delta, range(m, m + 1), height, form, height * lat.den)
-    # the keys are distinct, so sorting never compares two Quats
-    return [alpha for _m, _key, alpha in sorted(walk)]
+    walk = _ball_walk(lat, gram, delta, range(m, m + 1), height, form, height * lat.den)
+    return [lat.order.quat_from_frame(key, lat.den) for key in sorted(k for _m, k in walk)]
 
 
 @dataclass(frozen=True)
@@ -409,8 +404,8 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
 
     One pass over the trace-zero projection serves every norm at once: a
     slice fixes the trace-zero part, the hyperbolic condition becomes a
-    two-sided window on the scalar part, and each surviving candidate is
-    confirmed with the shared exact test.  The walk's box serves the largest
+    two-sided window on the scalar part, and the walk's integer move
+    condition decides each candidate.  The walk's box serves the largest
     norm; a counted element of norm m outside the box ceil(t sqrt(m)) that
     t certifies raises TheoremViolation.  The bound is checked against the
     split companion lattice, rescaling norms by 4 when the query lattice is
@@ -437,9 +432,10 @@ def sweep_counts(q: CountQuery, w: InjectionWitness, t: BoxConstant) -> CountRep
              else range(1, max_norm + 1))
     counts: dict[int, int] = {}
     gram = _fz_gram(q.lat.order, q.z)
-    for m, key, alpha in _ball_walk(q.lat, gram, q.z, q.delta, norms, height):
+    for m, key in _ball_walk(q.lat, gram, q.delta, norms, height):
         hm = sqrt_ceil_of_product(t.t, m) * q.lat.den
         if any(abs(c) > hm for c in key):
+            alpha = q.lat.order.quat_from_frame(key, q.lat.den)
             raise TheoremViolation(
                 f"{alpha} of norm {m} moves z = ({q.z.x!r}, {q.z.y!r}) by at "
                 f"most delta = {q.delta!r} but lies outside the box of t = {t.t!r}"
@@ -510,7 +506,6 @@ def order_small_norm_check(
     delta: float,
     t: BoxConstant,
     m_cap: int,
-    count_factor: int = 8,
 ) -> SmallNormReport:
     """Certify the small-norm structure of an order around a point.
 
@@ -524,7 +519,7 @@ def order_small_norm_check(
     Every pair is checked exactly: the divisibility always, and commutation
     whenever the determinant is small enough for the argument to bite, no
     matter whether m is below the a priori threshold.  Counts above
-    count_factor * d(m) are reported as warnings, not failures.
+    SMALL_NORM_COUNT_FACTOR * d(m) are reported as warnings, not failures.
     """
     if not order_lat.is_order():
         raise UsageError("small norm check needs an order")
@@ -549,10 +544,8 @@ def order_small_norm_check(
     for m in range(1, m_eff + 1):
         els = enumerate_norm_ball(order_lat, m, z, delta, t)
         per_m.append((m, len(els)))
-        if len(els) > count_factor * divisor_count(m):
-            warnings.append(
-                f"norm {m}: {len(els)} elements exceeds {count_factor}*d({m})"
-            )
+        if len(els) > SMALL_NORM_COUNT_FACTOR * divisor_count(m):
+            warnings.append(f"norm {m}: {len(els)} elements exceeds {SMALL_NORM_COUNT_FACTOR}*d({m})")
         pool.extend((m, a) for a in els)
 
     worst_uncertified = m_eff + 1

@@ -581,18 +581,18 @@ def default_maximal_order(alg: QuatAlg) -> MaximalOrder:
     return saturate_to_maximal(alg, rows)
 
 
-def eichler_order(mo: MaximalOrder, n: int, height_cap: int = 512) -> tuple[Lattice4, Quat]:
+def eichler_order(mo: MaximalOrder, n: int) -> tuple[Lattice4, Quat]:
     """Order of level n cut out as the intersection with a conjugate.
 
     Searches elements g of reduced norm n in the maximal order by increasing
-    coordinate height and returns the first whose conjugate intersection has
-    level exactly n, together with g itself.
+    coordinate height up to 512 and returns the first whose conjugate
+    intersection has level exactly n, together with g itself.
     """
     if gcd(n, mo.discriminant) != 1:
         raise UsageError("level must be coprime to the algebra discriminant")
     seen: set = set()
     h = max(2, isqrt(n) // 2)
-    while h <= height_cap:
+    while h <= 512:
         for g in norm_elements(mo.lattice, n, h):
             if g in seen:
                 continue
@@ -601,7 +601,7 @@ def eichler_order(mo: MaximalOrder, n: int, height_cap: int = 512) -> tuple[Latt
             if cand.level() == n:
                 return cand, g
         h *= 2
-    raise SearchExhausted(f"no norm-{n} conjugator below height {height_cap}")
+    raise SearchExhausted(f"no norm-{n} conjugator below height 512")
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,18 @@ def test_parse_factored_round_trip():
         parse_factored("0^2")
     with pytest.raises(UsageError):
         parse_factored("5^-1")
+    # the level cap 2^800 holds after repeats accumulate
+    assert parse_factored("2^400*2^400") == {2: 800}
+    with pytest.raises(UsageError):
+        parse_factored("2^400*2^401")
+
+
+def test_exponent_prints_value_pow24_at_the_level_cap(tmp_path):
+    # 3^504 is the largest power of 3 below 2^800, and microlocal's value^24
+    # is its 16th power, the largest of any mode: 3,848 digits
+    code, text = run_cli(["exponent", "--n", "3^504", "--mode", "microlocal"], tmp_path)
+    assert code == 0
+    assert f"value^24: {3**(16 * 504)}" in text
 
 
 def test_sample_points_are_deterministic_and_in_box():
@@ -311,6 +323,19 @@ MALFORMED = [
     # the search's last box would hold about 1.3 * 10^16 slices
     ("balance-height-above-cap", ["balance", "--height", "100000"], None),
     ("count-threads-not-integer", ["count", "--threads", "two"], None),
+    # printing value^24 of a level past the cap would exceed Python's
+    # 4,300-digit limit on int to str, and 2^99999999 would take seconds
+    ("exponent-level-2^20000", ["exponent", "--n", "2^20000"], None),
+    ("exponent-level-2^99999999", ["exponent", "--n", "2^99999999"], None),
+    ("exponent-microlocal-3^3000", ["exponent", "--n", "3^3000", "--mode", "microlocal"], None),
+    # below 2^1000, yet its value^24 = 3^10080 has 4,810 digits
+    ("exponent-microlocal-3^630", ["exponent", "--n", "3^630", "--mode", "microlocal"], None),
+    ("exponent-newform-2^9000", ["exponent", "--n", "2^9000", "--m", "1", "--mode", "newform"],
+     None),
+    # an integer literal past Python's 4,300-digit limit; json.dumps refuses
+    # to write one, so the config is raw text
+    ("count-config-int-5000-digits", ["count"], '{"sweep": {"seed": ' + "9" * 5000 + "}}"),
+    ("order-config-int-5000-digits", ["order"], '{"sweep": {"seed": ' + "9" * 5000 + "}}"),
 ]
 
 
@@ -321,7 +346,7 @@ def test_malformed_inputs_exit_1_without_traceback(tmp_path, capsys, argv, confi
     argv = list(argv)
     if config is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(cfg)]
     out = tmp_path / "out.txt"
     assert main(argv + ["--out", str(out)]) == 1

@@ -33,7 +33,7 @@ from quatlat import (
     z_plus_f_order,
     z_plus_zw_order,
 )
-from quatlat import cli
+from quatlat import cli, counting
 from quatlat.arith import sqrt_ceil_of_product
 from quatlat.cli import sample_points
 from quatlat.counting import _max_divisor_count, _pair_det
@@ -482,9 +482,11 @@ def test_max_divisor_count_matches_sieve():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_prefilter_keeps_an_element_on_the_ball_boundary(mo, seed):
-    # delta = u(z, alpha z) - 5e-10 lies below alpha's own move, which in_ball
-    # still accepts through U_SLACK; the integer 2 h^2 + F test ahead of it
-    # must keep alpha too, which only its PREFILTER_SLACK does
+    # delta = u(z, alpha z) - 5e-10 lies below alpha's own move, which the
+    # walk's integer 2 h^2 + F test still accepts through U_SLACK; the scalar
+    # floor ahead of it must keep alpha too, which only its PREFILTER_SLACK
+    # does.  At delta = u - 1e-8 the decision must drop alpha and -alpha
+    # (same move), though PREFILTER_SLACK alone would keep them
     lat = eichler_order(mo, 5)[0]
     t = frame_bc(mo, 1.0)
     z = sample_points(BOX, 2, seed)[1]
@@ -496,8 +498,16 @@ def test_prefilter_keeps_an_element_on_the_ball_boundary(mo, seed):
     m = int(alpha.nrd())
     on_boundary = enumerate_norm_ball(lat, m, z, delta, t)
     assert alpha in on_boundary
-    rep = sweep_counts(CountQuery(lat, z, delta, m), build_injection(lat), t)
+    w = build_injection(lat)
+    rep = sweep_counts(CountQuery(lat, z, delta, m), w, t)
     assert dict(rep.per_m)[m] == len(on_boundary)
+    below = enumerate_norm_ball(lat, m, z, u - 1e-8, t)
+    assert alpha not in below and -alpha not in below
+    assert set(below) <= set(on_boundary)
+    dropped = set(on_boundary) - set(below)
+    assert all(u_dist(z, apply_quat(b, z)) > u - 1e-8 for b in dropped)
+    rep = sweep_counts(CountQuery(lat, z, u - 1e-8, m), w, t)
+    assert dict(rep.per_m).get(m, 0) == len(below)
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -519,10 +529,8 @@ def test_walk_form_keeps_a_trace_zero_element_on_the_ball_boundary(mo, eps, scal
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 
 
-@pytest.mark.parametrize("label", ["max-L2", "e5-sq2"])
-def test_count_takes_one_smith_form_per_lattice(mo, tmp_path, monkeypatch, capsys, label):
-    # the order's shape and the witness's adapted basis come from one Smith
-    # form, which _cmd_count, build_injection and each sample's sweep share
+def run_count_against_references(mo, tmp_path, capsys, label):
+    """A 2-sample count --lmax 2 op of the benchmark, checked against its rows."""
     cfg = {"algebra": [3, -1], "sweep": {"samples": 2}}
     if label == "e5-sq2":
         lat = eichler_order(mo, 5)[0]
@@ -531,6 +539,18 @@ def test_count_takes_one_smith_form_per_lattice(mo, tmp_path, monkeypatch, capsy
         cfg["order"] = {"den": den, "mat": [int(c * den) for c in coords]}
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    argv = ["count", "--config", str(cfg_file), "--seed", "1", "--lmax", "2"]
+    assert cli.main(argv + (["--squares"] if label == "e5-sq2" else [])) == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if not line.startswith("#")]
+    assert rows == json.loads(REFERENCES.read_text())["count"]["1"][label]
+
+
+@pytest.mark.parametrize("label", ["max-L2", "e5-sq2"])
+def test_count_takes_one_smith_form_per_lattice(mo, tmp_path, monkeypatch, capsys, label):
+    # the order's shape and the witness's adapted basis come from one Smith
+    # form, which _cmd_count, build_injection and each sample's sweep share
     calls = {"snf_with_transforms": 0, "inverse_frac": 0}
 
     def counted(name):
@@ -544,10 +564,16 @@ def test_count_takes_one_smith_form_per_lattice(mo, tmp_path, monkeypatch, capsy
 
     counted("snf_with_transforms")
     counted("inverse_frac")
-    capsys.readouterr()
-    argv = ["count", "--config", str(cfg_file), "--seed", "1", "--lmax", "2"]
-    assert cli.main(argv + (["--squares"] if label == "e5-sq2" else [])) == 0
-    out = capsys.readouterr().out
-    rows = [line for line in out.splitlines() if not line.startswith("#")]
-    assert rows == json.loads(REFERENCES.read_text())["count"]["1"][label]
+    run_count_against_references(mo, tmp_path, capsys, label)
     assert calls == {"snf_with_transforms": 1, "inverse_frac": 0}
+
+
+@pytest.mark.parametrize("label", ["max-L2", "e5-sq2"])
+def test_count_decides_membership_without_in_ball(mo, tmp_path, monkeypatch, capsys, label):
+    # the walk's integer move condition decides every candidate; in_ball is
+    # only the Moebius-form reference that tests compare against
+    calls = []
+    monkeypatch.setattr(counting, "in_ball", lambda *a: calls.append(a) or in_ball(*a))
+    run_count_against_references(mo, tmp_path, capsys, label)
+    assert enumerate_norm_ball(mo.lattice, 3, Z0, 1.0, frame_bc(mo, 1.0))
+    assert calls == []
