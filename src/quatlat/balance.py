@@ -18,8 +18,9 @@ from .arith import factorize
 from .counting import MAX_SWEEP_SLICES
 from .errors import TheoremViolation, UsageError
 from .intmat import det
-from .lattice import Lattice4, _solve_int, _vecmat, box_slice_count, norm_keys
+from .lattice import Lattice4, _solve_int, _vecmat
 from .quat import Quat, mul_num, norm_num
+from .walk import box_slice_count, norm_keys
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__, balance, counting, coprime
 from . import amplifier as amp_mod
 from .arith import factorize
-from .errors import SearchExhausted, TheoremViolation, UsageError
+from .errors import ConstructionFailed, SearchExhausted, TheoremViolation, UsageError
 from .lattice import Lattice4, MaximalOrder, default_maximal_order
 from .quat import QuatAlg, UpperHalfPoint, ZBox, box_constant
 
@@ -305,7 +305,7 @@ def _cmd_count(cfg: ExperimentConfig, args) -> str:
     header = [
         f"# quatlat {__version__}",
         f"# seed={cfg.seed} delta={cfg.delta!r} box_t={t.t!r}",
-        f"# u_slack={counting.U_SLACK!r} prefilter_margin=1e-06",
+        f"# u_slack={counting.U_SLACK!r} prefilter_margin={counting.PREFILTER_SLACK!r}",
         f"# z_box=({cfg.z_box.x_min!r},{cfg.z_box.x_max!r},"
         f"{cfg.z_box.y_min!r},{cfg.z_box.y_max!r})",
         "run_id,N,M1,M2,M3,e,lmax,squares_only,delta,z_x,z_y,t,total,"
@@ -520,6 +520,9 @@ def main(argv=None) -> int:
     except TheoremViolation as e:
         print(f"theorem violation (implementation bug): {e}", file=sys.stderr)
         return 2
+    except ConstructionFailed as e:
+        print(f"construction failed: {e}", file=sys.stderr)
+        return 3
     except SearchExhausted as e:
         print(f"search exhausted: {e}", file=sys.stderr)
         return 3

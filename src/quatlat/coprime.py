@@ -11,6 +11,16 @@ is a direct scan.  For more variables, a sub-problem in the first k
 coefficients is solved against the modulus gcd(N, a_{k+1}) -- the primes of N
 that the last coefficient cannot influence -- and each sub-solution is then
 extended by scanning the last variable against N itself.
+
+The construction fixes its prefixes before it scans the last variable, so
+with a small bound it can come up short although solutions exist.  For
+c = 1, solve then backtracks through every prefix in [0, bound]^(n-1) in
+lexicographic order, so InfeasibleError means that no tuple in the bounded
+box works.  For c > 1 with several variables a valid solution set is a
+structured family, not one tuple, and solve raises ConstructionFailed: the
+construction failed, and a solution set may still exist within the bound.
+A one-variable scan is exhaustive for every c.  Inputs the construction
+solves keep its tuples.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from dataclasses import dataclass
 from math import ceil, gcd, log
 
 from .arith import euler_phi, mobius, omega, radical, squarefree_divisors
-from .errors import InfeasibleError, TheoremViolation, UsageError
+from .errors import ConstructionFailed, InfeasibleError, TheoremViolation, UsageError
 
 
 def auto_bound(big_n: int, c: int) -> int:
@@ -60,7 +70,23 @@ class CombinationProblem:
 def solve(prob: CombinationProblem) -> list[tuple[int, ...]]:
     """The c^n solution tuples, lexicographically smallest first."""
     bound = prob.effective_bound()
-    out = _solve(list(prob.a), radical(prob.big_n), prob.c, bound)
+    n_mod = radical(prob.big_n)
+    try:
+        out = _solve(list(prob.a), n_mod, prob.c, bound)
+    except InfeasibleError as e:
+        if prob.n == 1:
+            raise
+        if prob.c > 1:
+            raise ConstructionFailed(
+                e.subset, f"{e}; a solution set may still exist within the bound"
+            ) from None
+        first = _first_coprime(prob.a, n_mod, bound)
+        if first is None:
+            raise InfeasibleError(
+                tuple(range(1, prob.n + 1)),
+                f"no tuple in [0, {bound}]^{prob.n} is coprime to the modulus",
+            ) from None
+        out = [first]
     for tup in out:
         val = prob.a[0] + sum(prob.a[i + 1] * tup[i] for i in range(prob.n))
         if gcd(val, prob.big_n) != 1 or any(p < 0 or p > bound for p in tup):
@@ -97,6 +123,33 @@ def _solve(a: list[int], n_mod: int, c: int, bound: int) -> list[tuple[int, ...]
         for p in _scan(x, a[-1], n_mod, c, bound, position=len(a) - 1):
             out.append(tup + (p,))
     return out
+
+
+def _first_coprime(a, n_mod: int, bound: int) -> tuple[int, ...] | None:
+    """The lexicographically first p in [0, bound]^n with a0 + a.p coprime to n_mod.
+
+    Depth-first in lexicographic order.  A prefix (p1..pk) is dropped as
+    soon as a prime of n_mod that divides every later coefficient divides
+    its partial sum, since no later choice can change it mod that prime.
+    """
+    n = len(a) - 1
+    # fixed[k]: the primes of n_mod dividing a_(k+1), ..., a_n
+    fixed = [n_mod] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        fixed[k] = gcd(fixed[k + 1], a[k + 1])
+
+    def extend(k: int, partial: int) -> tuple[int, ...] | None:
+        if gcd(partial, fixed[k]) != 1:
+            return None
+        if k == n:
+            return ()
+        for p in range(bound + 1):
+            rest = extend(k + 1, partial + a[k + 1] * p)
+            if rest is not None:
+                return (p,) + rest
+        return None
+
+    return extend(0, a[0])
 
 
 def _scan(a0: int, a1: int, n_mod: int, c: int, bound: int, position: int) -> list[int]:

@@ -17,6 +17,7 @@ l_max; enumerate_norm_ball walks one norm inside a smaller ellipsoid.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, inf, isqrt, sqrt
@@ -24,8 +25,9 @@ from math import gcd, inf, isqrt, sqrt
 from . import coprime, intmat
 from .arith import divisor_count, sqrt_ceil_of_product
 from .errors import ContainmentError, SearchExhausted, TheoremViolation, UsageError
-from .lattice import Lattice4, Shape, box_slice_count, norm_elements, traceless_slices
+from .lattice import Lattice4, Shape
 from .quat import BoxConstant, Quat, UpperHalfPoint, ZBox, apply_quat, iota_inf, u_dist
+from .walk import box_slice_count, ellipsoid_basis, norm_elements, traceless_slices
 
 U_SLACK = 1e-9
 # widening of delta in the walk's scalar floor and _walk_form; covers U_SLACK
@@ -367,23 +369,26 @@ def enumerate_norm_ball(
 ) -> list[Quat]:
     """Exactly the lattice elements of norm m moving z by at most delta.
 
-    The search space is the coordinate box |a_i| <= ceil(t sqrt(m)) walked
-    through the lattice's Hermite form; the box constant guarantees no
-    qualifying element lies outside it.  The walk is also cut to an
-    ellipsoid that holds the trace-zero part v of every such element:
-    u(z, alpha z) <= delta reads 2 a0^2 + F_z(v) <= c m with
+    The search space is the coordinate box |a_i| <= ceil(t sqrt(m)); the box
+    constant guarantees no qualifying element lies outside it.  The walk is
+    cut to an ellipsoid that holds the trace-zero part v of every such
+    element: u(z, alpha z) <= delta reads 2 a0^2 + F_z(v) <= c m with
     c = 4 delta + 2 (widened by PREFILTER_SLACK), and a0^2 = m - nrd(v)
     turns it into F_z(v) - 2 nrd(v) <= (c - 2) m.  For any lambda >= 0,
     the first inequality plus lambda times the second gives
     (1 + lambda) F_z(v) - 2 lambda nrd(v) <= (c + lambda (c - 2)) m,
     a positive definite form since F_z(v) >= 2 |nrd(v)|; see _walk_form.
-    Only the members are built as Quats, sorted by their frame coordinates.
+    traceless_slices walks that ellipsoid in a basis LLL-reduced under the
+    form and cuts it to the box.  Only m scales the cap, so the F_z Gram,
+    the form and its reduced basis are set up once per (lattice, z, delta)
+    (_walk_setup) and shared by the calls for every norm.  Only the members
+    are built as Quats, sorted by their frame coordinates.
     """
     if m < 1:
         raise UsageError("norm must be positive")
     height = sqrt_ceil_of_product(t.t, m)
-    gram = _fz_gram(lat.order, z)
-    form = _walk_form(gram, lat.order.gram0, delta, lat.den * lat.den * m)
+    gram, basis, c_walk = _walk_setup(lat, z, delta)
+    form = (basis, c_walk * (lat.den * lat.den * m))
     walk = _ball_walk(lat, gram, delta, range(m, m + 1), height, form, height * lat.den)
     return [lat.order.quat_from_frame(key, lat.den) for key in sorted(k for _m, k in walk)]
 
@@ -629,8 +634,8 @@ def _fz_gram(order, z: UpperHalfPoint) -> list[list[float]]:
             for u0, u1, u2, u3 in g]
 
 
-def _walk_form(gram, gram0, delta: float, scale: int):
-    """(G, c scale): with scale = den^2 m, w G w^T <= c scale holds every norm-m ball candidate.
+def _walk_form(gram, gram0, delta: float):
+    """(G, c): w G w^T <= c den^2 m holds every norm-m ball candidate.
 
     G = (1 + lambda) gram - lambda gram0 and c = c_hi + lambda (c_hi - 2),
     where gram is the F_z Gram, w gram0 w^T = 2 den^2 nrd(v) and c_hi =
@@ -643,7 +648,38 @@ def _walk_form(gram, gram0, delta: float, scale: int):
     lam = min(0.5 + 1.0 / delta, WALK_LAMBDA_CAP)
     g = [[(1.0 + lam) * f - lam * s for f, s in zip(frow, srow)]
          for frow, srow in zip(gram, gram0)]
-    return g, (c_hi + lam * (c_hi - 2.0)) * scale
+    return g, c_hi + lam * (c_hi - 2.0)
+
+
+# The set-up of the last (lattice, z, delta) _walk_setup saw: a weak
+# reference to the lattice, z, delta and (F_z Gram, ellipsoid basis, c).
+# One entry, holding no members; the weak reference's callback drops it
+# once the lattice is gone, so it never keeps a lattice alive.
+_last_setup: tuple = (None, None, None, None)
+
+
+def _forget_setup(ref) -> None:
+    global _last_setup
+    if _last_setup[0] is ref:
+        _last_setup = (None, None, None, None)
+
+
+def _walk_setup(lat: Lattice4, z: UpperHalfPoint, delta: float):
+    """(F_z Gram, ellipsoid_basis of the walk form, c) for enumerate_norm_ball.
+
+    Everything but the cap c den^2 m depends on (lattice, z, delta) alone,
+    and the per-norm calls of one point come in a row, so one cached entry
+    serves them all.
+    """
+    global _last_setup
+    ref, z0, delta0, setup = _last_setup
+    if ref is not None and ref() is lat and z0 == z and delta0 == delta:
+        return setup
+    gram = _fz_gram(lat.order, z)
+    form, c_walk = _walk_form(gram, lat.order.gram0, delta)
+    setup = (gram, ellipsoid_basis(lat, form), c_walk)
+    _last_setup = (weakref.ref(lat, _forget_setup), z, delta, setup)
+    return setup
 
 
 def _iota_conj(v: Quat, x: float, y: float):

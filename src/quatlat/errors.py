@@ -37,3 +37,11 @@ class InfeasibleError(SearchExhausted):
     def __init__(self, subset: tuple[int, ...], message: str):
         super().__init__(message)
         self.subset = subset
+
+
+class ConstructionFailed(InfeasibleError):
+    """The coprime construction came up short for c > 1 and several variables.
+
+    Unlike a plain InfeasibleError, this does not mean the bounded space is
+    empty: a valid solution set may still exist within the bound.
+    """

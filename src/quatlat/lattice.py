@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, isqrt, lcm, prod, sqrt
+from math import gcd, isqrt, lcm, prod
 
 from . import intmat
 from .arith import factorize, smallest_root_multiple
@@ -26,6 +26,8 @@ from .errors import (
     UsageError,
 )
 from .quat import Quat, QuatAlg, mul_num, norm_num, over_one_den
+# the slice walks live in .walk; lattice keeps their names for its callers
+from .walk import box_slice_count, norm_elements, norm_keys, traceless_slices  # noqa: F401
 
 FracRow = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -602,183 +604,6 @@ def eichler_order(mo: MaximalOrder, n: int) -> tuple[Lattice4, Quat]:
                 return cand, g
         h *= 2
     raise SearchExhausted(f"no norm-{n} conjugator below height 512")
-
-
-# ---------------------------------------------------------------------------
-# enumeration of lattice elements by reduced norm
-# ---------------------------------------------------------------------------
-
-
-# relative and absolute widening of every float ellipsoid bound: rounding in
-# the completed squares stays far below it, so the pruned walk is a superset
-ELLIPSOID_SLACK = 1e-9
-
-
-def _completed_squares(proj, G) -> tuple[float, ...]:
-    """Coefficients of Q = P G P^T, P the projection basis, as a sum of squares.
-
-    Returns (a1, a2, a3, m21, m31, m32) with
-    Q(c) = a1 c1^2 + a2 (c2 + m21 c1)^2 + a3 (c3 + m31 c1 + m32 c2)^2,
-    completing the square in c3 first, then in c2.
-    """
-    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = G
-    PG = [(p0 * g00 + p1 * g10 + p2 * g20, p0 * g01 + p1 * g11 + p2 * g21,
-           p0 * g02 + p1 * g12 + p2 * g22) for p0, p1, p2 in proj]
-    Q = [[u0 * p0 + u1 * p1 + u2 * p2 for p0, p1, p2 in proj] for u0, u1, u2 in PG]
-    a3 = Q[2][2]
-    if not a3 > 0:
-        raise UsageError("ellipsoid form must be positive definite")
-    m31, m32 = Q[0][2] / a3, Q[1][2] / a3
-    a2 = Q[1][1] - Q[1][2] * m32
-    if not a2 > 0:
-        raise UsageError("ellipsoid form must be positive definite")
-    m21 = (Q[0][1] - Q[0][2] * m32) / a2
-    a1 = Q[0][0] - Q[0][2] * m31 - a2 * m21 * m21
-    if not a1 > 0:
-        raise UsageError("ellipsoid form must be positive definite")
-    return a1, a2, a3, m21, m31, m32
-
-
-def traceless_slices(lat: Lattice4, height: int, form=None):
-    """Iterate the trace-zero projections of lat up to a coordinate height.
-
-    Yields (w, j, qs) where w is the den-scaled integer coordinate triple of
-    a projection point v = w / den with |v_k| <= height, j in [0, den) is the
-    unique residue such that the scalar parts completing v inside lat are
-    exactly (j + den * Z) / den, and qs = den^2 * nrd(v).  Requires a lattice
-    whose scalars are exactly Z (every lattice containing 1 inside a maximal
-    order), so that the completing set is a full coset of Z; any other
-    lattice raises UsageError.
-
-    form = (G, cap), with G a positive definite 3x3 float Gram on the
-    den-scaled coordinates w, also cuts the walk to the ellipsoid
-    w G w^T <= cap (Fincke-Pohst): each coordinate range is clipped by the
-    completed squares of G in the projection basis, every bound widened by
-    ELLIPSOID_SLACK, so every slice of the box with w G w^T <= cap is still
-    yielded, in the same order.
-    """
-    den = lat.den
-    bound = height * den
-    frame = lat.slice_frame
-    (p00, p01, p02, r0), (_, p11, p12, r1), (_, _, p22, r2) = frame
-    # qs = w S w^T / 2 for the trace-zero Gram S, whose diagonal is even
-    (s00, s01, s02), (_, s11, s12), (_, _, s22) = lat.order.gram0
-    h00, h11, h22 = s00 // 2, s11 // 2, s22 // 2
-    c1_max = bound // p00
-    c1_lo, c1_hi = -c1_max, c1_max
-    pruned = form is not None
-    if pruned:
-        # a range clipped to a (c - centre)^2 <= t is centre -+ sqrt(t / a),
-        # widened by ELLIPSOID_SLACK; a negative t leaves it empty
-        slack = ELLIPSOID_SLACK
-        grow = 1.0 + slack
-        a1, a2, a3, m21, m31, m32 = _completed_squares([row[:3] for row in frame], form[0])
-        budget = form[1] * grow + slack
-        if budget < 0:
-            return
-        r = sqrt(budget / a1) * grow + slack
-        c1_lo, c1_hi = max(c1_lo, ceil(-r)), min(c1_hi, floor(r))
-    for c1 in range(c1_lo, c1_hi + 1):
-        w0 = c1 * p00
-        base1 = c1 * p01
-        # second coordinate: base1 + c2 * p11 in [-bound, bound]
-        c2_lo = -((bound + base1) // p11)
-        c2_hi = (bound - base1) // p11
-        if pruned:
-            t1 = budget - a1 * c1 * c1
-            if t1 < 0:
-                continue
-            r = sqrt(t1 / a2) * grow + slack
-            centre = -m21 * c1
-            lo = ceil(centre - r)
-            if lo > c2_lo:
-                c2_lo = lo
-            hi = floor(centre + r)
-            if hi < c2_hi:
-                c2_hi = hi
-        q0 = h00 * w0 * w0
-        for c2 in range(c2_lo, c2_hi + 1):
-            base2 = c1 * p02 + c2 * p12
-            c3_lo = -((bound + base2) // p22)
-            c3_hi = (bound - base2) // p22
-            if pruned:
-                d2 = c2 + m21 * c1
-                t2 = t1 - a2 * d2 * d2
-                if t2 < 0:
-                    continue
-                r = sqrt(t2 / a3) * grow + slack
-                centre = -(m31 * c1 + m32 * c2)
-                lo = ceil(centre - r)
-                if lo > c3_lo:
-                    c3_lo = lo
-                hi = floor(centre + r)
-                if hi < c3_hi:
-                    c3_hi = hi
-                if c3_lo > c3_hi:
-                    continue
-            w1 = base1 + c2 * p11
-            q01 = q0 + h11 * w1 * w1 + s01 * w0 * w1
-            lin = s02 * w0 + s12 * w1
-            # w2 steps by p22 and the residue by r2 < den, so one
-            # subtraction keeps j in [0, den)
-            j = (c1 * r0 + c2 * r1 + c3_lo * r2) % den
-            for w2 in range(base2 + c3_lo * p22, base2 + c3_hi * p22 + 1, p22):
-                yield (w0, w1, w2), j, q01 + (h22 * w2 + lin) * w2
-                j += r2
-                if j >= den:
-                    j -= den
-
-
-def box_slice_count(lat: Lattice4, height: int) -> int:
-    """An upper bound on the slices traceless_slices(lat, height) yields.
-
-    Coordinate k of the projection steps by the pivot p_kk of the slice
-    frame inside a window of width 2 height den, so it takes at most
-    2 height den // p_kk + 1 values.
-    """
-    width = 2 * height * lat.den
-    return prod(width // row[k] + 1 for k, row in enumerate(lat.slice_frame))
-
-
-def norm_keys(lat: Lattice4, m: int, height: int) -> list[tuple[int, ...]]:
-    """Den-scaled frame coordinates of the elements norm_elements returns.
-
-    Each key (h, w0, w1, w2) is den times the frame coordinates of one
-    element of lat with reduced norm m and frame coords <= height, and the
-    keys come sorted, which orders them like the frame coordinates
-    themselves.
-
-    The scan walks the trace-zero projection and completes each slice by an
-    exact integer square root, so only genuine lattice points are ever
-    touched.
-    """
-    den = lat.den
-    dd = den * den
-    h_max = height * den
-    keys = []
-    for w, j, qs in traceless_slices(lat, height):
-        rhs = dd * m - qs
-        if rhs < 0:
-            continue
-        h = isqrt(rhs)
-        if h * h != rhs or h > h_max:
-            continue
-        for hh in ((-h, h) if h else (0,)):
-            if hh % den == j:
-                keys.append((hh, *w))
-    keys.sort()
-    return keys
-
-
-def norm_elements(lat: Lattice4, m: int, height: int) -> list[Quat]:
-    """All elements of lat with reduced norm m and frame coords <= height.
-
-    Deterministic: the elements of norm_keys(lat, m, height), in its sorted
-    coordinate order.
-    """
-    qf = lat.order.quat_from_frame
-    den = lat.den
-    return [qf(k, den) for k in norm_keys(lat, m, height)]
 
 
 # ---------------------------------------------------------------------------

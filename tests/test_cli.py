@@ -219,6 +219,22 @@ def test_coprime_from_file_with_comments(tmp_path):
     assert text == "1 5\n"
 
 
+def test_coprime_exit_3_names_what_ran_out(tmp_path, capsys):
+    # c = 1 backtracks, so exit 3 means the bounded box holds no tuple;
+    # c = 2 keeps the construction, whose failure is reported as such
+    infile = tmp_path / "problems.txt"
+    infile.write_text("3,15,13;72;1;1\n")
+    assert run_cli(["coprime", "--in", str(infile)], tmp_path) == (0, "1,1\n")
+    infile.write_text("3,15,13;72;2;1\n")
+    capsys.readouterr()
+    assert run_cli(["coprime", "--in", str(infile)], tmp_path)[0] == 3
+    assert capsys.readouterr().err.startswith("construction failed: ")
+    # 2 + p2 for p2 in [0, 1] is 2 or 3, never coprime to 6, whatever p1
+    infile.write_text("2,0,1;6;1;1\n")
+    assert run_cli(["coprime", "--in", str(infile)], tmp_path)[0] == 3
+    assert capsys.readouterr().err.startswith("search exhausted: no tuple in [0, 1]^2")
+
+
 def test_coprime_bad_line_is_usage_error(tmp_path):
     infile = tmp_path / "problems.txt"
     infile.write_text("0,1\n")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatlat import CombinationProblem, auto_bound, sieve_count, sieve_lower_bound, solve
-from quatlat.errors import InfeasibleError, UsageError
+from quatlat.errors import ConstructionFailed, InfeasibleError, UsageError
 
 from oracles import naive_coprime_tuples, naive_sieve_count
 
@@ -109,6 +109,41 @@ def test_solve_against_brute_force(a, big_n, c, bound):
         sols = solve(prob)
         assert len(set(sols)) == c**n and _projection_counts_ok(sols, n, c)
         assert all(_coprime(a, big_n, t) and max(t) <= prob.effective_bound() for t in sols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(st.integers(0, 15), min_size=n + 1,
+                                                    max_size=n + 1)),
+       st.integers(1, 210), st.integers(1, 2), st.integers(1, 6))
+def test_solve_raises_only_when_the_bounded_box_is_empty(a, big_n, c, bound):
+    # c = 1: InfeasibleError means no tuple of [0, bound]^n is coprime.
+    # c = 2 with several variables: a failure is ConstructionFailed, which
+    # claims nothing about the box; with one variable the scan is exhaustive
+    a = tuple(a)
+    n = len(a) - 1
+    if gcd(big_n, *a) != 1:
+        return
+    coprime = [t for t in product(range(bound + 1), repeat=n) if _coprime(a, big_n, t)]
+    try:
+        sols = solve(CombinationProblem(a, big_n, c, bound))
+    except ConstructionFailed:
+        assert c > 1 and n > 1
+    except InfeasibleError as e:
+        assert len(coprime) < c
+        assert e.subset and all(1 <= i <= n for i in e.subset)
+    else:
+        assert len(sols) == len(set(sols)) == c**n
+        assert set(sols) <= set(coprime)
+        assert _projection_counts_ok(sols, n, c)
+
+
+def test_backtracking_finds_a_tuple_the_construction_misses():
+    # the construction fixes the prefix p1 = 0 first, and 3 + 13 p2 is never
+    # coprime to 72 for p2 in [0, 1]; (1, 1) gives 31
+    prob = CombinationProblem((3, 15, 13), 72, 1, 1)
+    assert solve(prob) == [(1, 1)]
+    with pytest.raises(ConstructionFailed):
+        solve(CombinationProblem((3, 15, 13), 72, 2, 1))
 
 
 def test_tuple_entries_within_bound():

@@ -357,24 +357,31 @@ ORACLE_NORMS = (1, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")
-def ball_oracle(mo):
-    """Per (lattice, norm): the lattice and its naive norm-m box elements."""
+def ball_oracle(mo, algebra_orders):
+    """Per (lattice, norm): the lattice and its naive norm-m box elements.
+
+    Lattices 0-3 live in (3, -1); 4-13 are algebra_orders, a maximal and an
+    Eichler order in each of five algebras."""
     lats = [
         mo.lattice,
         z_plus_f_order(mo, 3),
         z_plus_zw_order(mo, mo.i_basis[0], 5),
         eichler_order(mo, 5)[0],
-    ]
-    return {
-        (k, m): (lat, naive_norm_elements(lat, m, sqrt_ceil_of_product(ORACLE_T, m)))
-        for k, lat in enumerate(lats)
-        for m in ORACLE_NORMS
-    }
+    ] + algebra_orders
+    out = {}
+    for k, lat in enumerate(lats):
+        tables = {}
+        for m in ORACLE_NORMS:
+            height = sqrt_ceil_of_product(ORACLE_T, m)
+            if height not in tables:
+                tables[height] = naive_norm_table(lat, height)
+            out[(k, m)] = (lat, tables[height].get(m, []))
+    return out
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    st.integers(0, 3),
+    st.integers(0, 13),
     st.sampled_from(ORACLE_NORMS),
     st.floats(-0.5, 0.5),
     st.floats(0.8, 1.2),
@@ -388,12 +395,18 @@ def ball_oracle(mo):
 @example(1, 4, -0.3, 0.9, 0.05)
 @example(0, 4, 0.05, 1.02, 1e-3)
 @example(3, 1, 0.2, 1.1, 1e-3)
-def test_enumerate_norm_ball_matches_naive_oracle(mo, ball_oracle, k, m, x, y, delta):
+# the other algebras, at delta 0.05 and 1
+@example(7, 4, 0.1, 0.95, 0.05)
+@example(9, 4, -0.2, 1.1, 1.0)
+@example(11, 3, 0.3, 1.0, 0.05)
+@example(13, 4, 0.05, 1.02, 1.0)
+def test_enumerate_norm_ball_matches_naive_oracle(ball_oracle, k, m, x, y, delta):
     lat, naive = ball_oracle[(k, m)]
+    order = lat.order
     z = UpperHalfPoint(x, y)
-    got = [mo.frame_coords(a) for a in enumerate_norm_ball(lat, m, z, delta,
-                                                           BoxConstant(delta, ORACLE_T))]
-    want = [c for c in naive if in_ball(mo.quat_from_frame(c), z, delta)]
+    got = [order.frame_coords(a) for a in enumerate_norm_ball(lat, m, z, delta,
+                                                              BoxConstant(delta, ORACLE_T))]
+    want = [c for c in naive if in_ball(order.quat_from_frame(c), z, delta)]
     assert got == want
 
 

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatlat import (
@@ -21,7 +22,7 @@ from quatlat import (
     z_plus_f_order,
     z_plus_zw_order,
 )
-from quatlat.counting import _fz_gram
+from quatlat.counting import _fz_gram, _walk_form, _walk_setup
 from quatlat.errors import ContainmentError, UsageError
 
 from oracles import naive_norm_elements, naive_trace_zero_norm, sympy_snf_diag
@@ -271,7 +272,8 @@ def test_pruned_slices_are_exactly_the_ellipsoid(mo, pick, height, a, cap):
     lat = sample_lattices(mo)[pick]
     full = list(traceless_slices(lat, height))
     pruned = list(traceless_slices(lat, height, ([[float(v) for v in r] for r in G], cap)))
-    assert pruned == [s for s in full if quad(G, s[0]) <= cap]
+    # the reduced basis sets the order; sorted lists still catch a repeat
+    assert sorted(pruned) == sorted(s for s in full if quad(G, s[0]) <= cap)
 
 
 @settings(max_examples=15, deadline=None)
@@ -282,8 +284,56 @@ def test_pruned_slices_keep_every_slice_inside_the_fz_ellipsoid(mo, pick, x, y, 
     full = list(traceless_slices(lat, 2))
     pruned = list(traceless_slices(lat, 2, (G, cap)))
     inside = [s for s in full if quad(G, s[0]) <= cap]
-    assert [s for s in pruned if quad(G, s[0]) <= cap] == inside
-    assert set(pruned) <= set(full)
+    assert sorted(s for s in pruned if quad(G, s[0]) <= cap) == sorted(inside)
+    assert len(pruned) == len(set(pruned)) and set(pruned) <= set(full)
+
+
+def _leading_minors_positive(G) -> bool:
+    return (G[0][0] > 0 and G[0][0] * G[1][1] - G[0][1] * G[1][0] > 0
+            and intmat.det(G) > 0)
+
+
+# delta 1 gives lambda 1.5 in the walk form, 0.05 gives 20.5, and 0.01
+# gives 100.5, which WALK_LAMBDA_CAP cuts to 32
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 9),
+    st.sampled_from((0.01, 0.05, 1.0)),
+    st.integers(1, 4),
+    st.floats(-0.5, 0.5),
+    st.floats(0.8, 1.25),
+)
+@example(0, 0.05, 4, 0.05, 1.02)
+@example(3, 1.0, 3, -0.4, 0.85)
+@example(8, 0.01, 4, 0.3, 1.2)
+@example(9, 0.05, 2, -0.1, 0.9)
+def test_reduced_walk_is_the_box_walk_cut_to_the_ellipsoid(algebra_orders, k, delta, m, x, y):
+    # enumerate_norm_ball's walk form at (z, delta, m) on the box of t = 2:
+    # the reduced-basis walk yields exactly the box's slices inside the
+    # ellipsoid, each once; the float filter skips the slices within 1e-9
+    # of the cap, where the walk's slack may keep either way
+    lat = algebra_orders[k]
+    den = lat.den
+    height = 2 * m
+    z = UpperHalfPoint(x, y)
+    box = list(traceless_slices(lat, height))
+    gram, basis, c_walk = _walk_setup(lat, z, delta)
+    G, c = _walk_form(gram, lat.order.gram0, delta)
+    cap = c * den * den * m
+    assert c == c_walk and basis == _walk_setup(lat, z, delta)[1]
+    pruned = list(traceless_slices(lat, height, (G, cap)))
+    assert pruned == list(traceless_slices(lat, height, (basis, cap)))
+    assert len(pruned) == len(set(pruned)) and set(pruned) <= set(box)
+    near = {s for s in box if abs(quad(G, s[0]) - cap) <= 1e-9 * cap}
+    assert (sorted(s for s in pruned if s not in near)
+            == sorted(s for s in box if quad(G, s[0]) <= cap and s not in near))
+    # the same form scaled by 8 and rounded to integers, where the filter
+    # is exact
+    G8 = [[round(8 * v) for v in row] for row in G]
+    if _leading_minors_positive(G8):
+        cap8 = floor(8 * cap)
+        pruned = list(traceless_slices(lat, height, ([[float(v) for v in r] for r in G8], cap8)))
+        assert sorted(pruned) == sorted(s for s in box if quad(G8, s[0]) <= cap8)
 
 
 def test_containment_errors(mo):
