@@ -78,10 +78,12 @@ def _lll(rows, G) -> list[list[int]]:
         if k == 3:
             break
         # Gram-Schmidt of rows 0..k: mu[i][j] and squared lengths n[i]
+        if not Q[0][0] > 0:
+            break
         m10 = Q[1][0] / Q[0][0]
         mu = [[], [m10]]
         n = [Q[0][0], Q[1][1] - m10 * Q[1][0]]
-        if k == 2:
+        if k == 2 and n[1] > 0:
             m20 = Q[2][0] / n[0]
             m21 = (Q[2][1] - m20 * Q[1][0]) / n[1]
             mu.append([m20, m21])

@@ -288,6 +288,17 @@ def test_pruned_slices_keep_every_slice_inside_the_fz_ellipsoid(mo, pick, x, y, 
     assert len(pruned) == len(set(pruned)) and set(pruned) <= set(full)
 
 
+def test_forms_that_are_not_positive_definite_are_refused(mo):
+    # the zero form once divided by zero inside the basis reduction
+    zero, nan = 0.0, float("nan")
+    forms = ([[zero] * 3] * 3, [[1.0, 0, 0], [0, zero, 0], [0, 0, 1.0]],
+             [[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0]], [[nan] * 3] * 3)
+    for lat in sample_lattices(mo)[:2]:
+        for G in forms:
+            with pytest.raises(UsageError):
+                list(traceless_slices(lat, 2, (G, 4.0)))
+
+
 def _leading_minors_positive(G) -> bool:
     return (G[0][0] > 0 and G[0][0] * G[1][1] - G[0][1] * G[1][0] > 0
             and intmat.det(G) > 0)
