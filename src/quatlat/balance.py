@@ -91,7 +91,9 @@ def balanced_search(spec: BalanceSearchSpec):
     in sorted coordinate order; the first hit in that order is returned.
     Only the first candidate of each left ideal O gamma is tried: every
     generator of one left ideal gives the same verdict (see _ideal_key), so
-    the result is the same as trying them all.
+    the result is the same as trying them all.  A tried gamma is rejected
+    on its four conjugated basis rows when gamma L gamma^-1 is not in O,
+    before any Hermite form is built (see _try_conjugator).
     """
     ord_lat = spec.ord
     mo = ord_lat.order
@@ -263,11 +265,16 @@ def _row_point(m, p: int, e: int):
 
 
 def _try_conjugator(ord_lat: Lattice4, level: int, gamma: Quat):
-    """Conjugate, require containment in the maximal order, check balance."""
-    conj = ord_lat.conjugate_by(gamma)
-    mo_lat = ord_lat.order.lattice
-    if not conj.is_sublattice_of(mo_lat):
+    """gamma L gamma^-1 when it lies in O, has L's level and is balanced, else None.
+
+    Containment is decided first, on the four conjugated basis rows
+    (Lattice4.conjugate_lies_in), so the Hermite form of the conjugate is
+    built only for a gamma whose conjugate lies in O; most candidates fail
+    there.
+    """
+    if not ord_lat.conjugate_lies_in(gamma, ord_lat.order.lattice):
         return None
+    conj = ord_lat.conjugate_by(gamma)
     if conj.level() != level:
         return None
     if not conj.is_balanced():

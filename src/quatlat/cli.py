@@ -19,7 +19,13 @@ from fractions import Fraction
 from . import __version__, balance, counting, coprime
 from . import amplifier as amp_mod
 from .arith import factorize
-from .errors import ConstructionFailed, SearchExhausted, TheoremViolation, UsageError
+from .errors import (
+    ConstructionFailed,
+    ContainmentError,
+    SearchExhausted,
+    TheoremViolation,
+    UsageError,
+)
 from .lattice import Lattice4, MaximalOrder, default_maximal_order
 from .quat import QuatAlg, UpperHalfPoint, ZBox, box_constant
 
@@ -139,6 +145,18 @@ def _lattice_rows(obj, what: str) -> tuple[list[list[int]], int]:
     return [mat[4 * i:4 * i + 4] for i in range(4)], den
 
 
+def _order_lattice(mo: MaximalOrder, obj) -> Lattice4:
+    """The order given as {"mat", "den"}, refused unless it lies in mo.
+
+    Every command on an order measures it inside the maximal order (level,
+    invariant factors, balance), so one outside it is a usage error here.
+    """
+    lat = mo.lattice_from_ijk(*_lattice_rows(obj, "order"))
+    if not lat.is_sublattice_of(mo.lattice):
+        raise ContainmentError("order is not contained in the maximal order")
+    return lat
+
+
 def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
@@ -175,7 +193,7 @@ def load_config(args, need_lattice: bool = True) -> ExperimentConfig:
                 mo.discriminant,
             )
         if "order" in raw:
-            order_lat = mo.lattice_from_ijk(*_lattice_rows(raw["order"], "order"))
+            order_lat = _order_lattice(mo, raw["order"])
         else:
             order_lat = mo.lattice
     delta = _to_float(raw.get("delta", 1))
@@ -316,8 +334,7 @@ def _cmd_count(cfg: ExperimentConfig, args) -> str:
 
 def _cmd_balance(cfg: ExperimentConfig, args) -> str:
     if args.order:
-        raw = _read_json(args.order, "order file")
-        lat = cfg.mo.lattice_from_ijk(*_lattice_rows(raw, "order"))
+        lat = _order_lattice(cfg.mo, _read_json(args.order, "order file"))
     else:
         lat = cfg.order_lat
     primes = frozenset(factorize(lat.level())) or frozenset({2})

@@ -11,6 +11,7 @@ counting layer works with.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -391,7 +392,9 @@ class Lattice4:
 
         The basis goes to (1, I, J, IJ) numerators X / e with e = den * _t_den;
         each product X Y / e^2 goes back to frame numerators over
-        e^2 * _f_den and is solved against the Hermite form.
+        e^2 * _f_den and is solved against the Hermite form.  As in
+        _raw_is_order, integral basis traces let the products b_i b_j with
+        i <= j decide closure.
         """
         if not self.contains_one():
             return False
@@ -401,8 +404,11 @@ class Lattice4:
         e = self.den * order._t_den
         d = e * e * order._f_den
         basis = [_vecmat(row, t_cols) for row in self.mat]
+        if any(2 * x[0] % e for x in basis):
+            return False
         return all(
-            self._contains(_vecmat(mul_num(x, y, p, q), f_cols), d) for x in basis for y in basis
+            self._contains(_vecmat(mul_num(x, y, p, q), f_cols), d)
+            for i, x in enumerate(basis) for y in basis[i:]
         )
 
     def reduced_discriminant(self):
@@ -427,11 +433,15 @@ class Lattice4:
             raise UsageError("slice enumeration needs a lattice whose scalars are exactly Z")
         return tuple(tuple(row) for row in H[:3])
 
-    def conjugate_by(self, g: Quat) -> "Lattice4":
-        """The lattice g * self * g^-1.
+    def _conjugate_rows(self, g: Quat) -> tuple[Iterator[tuple[int, ...]], int]:
+        """Frame numerators of g b g^-1 for each basis row b, over one denominator.
 
-        Computed as g x conj(g) / nrd(g) on integer numerators: with
-        g = G / e the denominators of g cancel, leaving G x conj(G) / nrd(G).
+        Computed as g b conj(g) / nrd(g) on integer numerators: with
+        g = G / e the denominators of g cancel, leaving G b conj(G) / nrd(G),
+        so the denominator is den * _t_den * _f_den * nrd(G).  The rows span
+        g * self * g^-1 but are not in Hermite form; they are computed as
+        they are read, so a test that stops at the first failing row skips
+        the rest.
         """
         order = self.order
         alg = order.alg
@@ -444,12 +454,27 @@ class Lattice4:
             raise UsageError("conjugator must be invertible")
         gc = (gn[0], -gn[1], -gn[2], -gn[3])
         t_cols, f_cols = order._t_cols, order._f_cols
-        rows = [
+        rows = (
             _vecmat(mul_num(mul_num(gn, _vecmat(row, t_cols), p, q), gc, p, q), f_cols)
             for row in self.mat
-        ]
-        mat, den = _canonical_int(rows, self.den * order._t_den * order._f_den * n)
-        return Lattice4(order, mat, den)
+        )
+        return rows, self.den * order._t_den * order._f_den * n
+
+    def conjugate_by(self, g: Quat) -> "Lattice4":
+        """The lattice g * self * g^-1."""
+        rows, d = self._conjugate_rows(g)
+        return Lattice4(self.order, *_canonical_int(list(rows), d))
+
+    def conjugate_lies_in(self, g: Quat, other: "Lattice4") -> bool:
+        """Whether g * self * g^-1 is contained in other.
+
+        The same verdict as conjugate_by(g).is_sublattice_of(other), since
+        both test a basis of one span, but decided on the four conjugated
+        rows without their Hermite form, and only up to the first row that
+        is not in other.
+        """
+        rows, d = self._conjugate_rows(g)
+        return all(other._contains(row, d) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +638,21 @@ def eichler_order(mo: MaximalOrder, n: int) -> tuple[Lattice4, Quat]:
 
 
 def _raw_is_order(alg: QuatAlg, mat, den) -> bool:
-    """Whether span(mat) / den holds 1 and is closed under multiplication."""
-    if _solve_int(mat, (den, 0, 0, 0)) is None:
+    """Whether span(mat) / den holds 1 and is closed under multiplication.
+
+    An order's elements are integral, so its basis traces 2 X_0 / den are
+    integers.  Given those, xy + yx = trd(x) y + trd(y) x - trd(x) trd(y)
+    + trd(xy) puts b_j b_i in a span holding 1 and b_i b_j, since every
+    element of the span has an integral trace; so the products with i <= j
+    decide closure.
+    """
+    if _solve_int(mat, (den, 0, 0, 0)) is None or any(2 * x[0] % den for x in mat):
         return False
     p, q = alg.p, alg.q
     # x = X / den, y = Y / den: x * y = X * Y / den^2 lies in span(mat) / den
     return all(
-        _solve_int(mat, mul_num(x, y, p, q), den) is not None for x in mat for y in mat
+        _solve_int(mat, mul_num(x, y, p, q), den) is not None
+        for i, x in enumerate(mat) for y in mat[i:]
     )
 
 
@@ -650,9 +683,13 @@ def _reduced_discriminant(G, den: int):
 def _find_integral_extension(alg: QuatAlg, mat, den, p: int):
     """First (1/p)-combination that stays integral and keeps an order closed.
 
-    Returns the canonical (mat, den) of the grown order, or None.
+    Returns the canonical (mat, den) of the grown order, or None.  span(mat)
+    / den is an order and x has an integral trace and norm, so x^2 =
+    trd(x) x - nrd(x) and the identity of _raw_is_order put every product
+    in the grown span once the four x b_i lie in it.
     """
     dp = den * p
+    a, b = alg.p, alg.q
     scaled = [[v * p for v in row] for row in mat]
     cols = tuple(zip(*mat))
     for c0 in range(p):
@@ -663,11 +700,13 @@ def _find_integral_extension(alg: QuatAlg, mat, den, p: int):
                         continue
                     # x = X / (den * p), the combination of the rows over p
                     x = _vecmat((c0, c1, c2, c3), cols)
-                    if (2 * x[0]) % dp or norm_num(x, alg.p, alg.q) % (dp * dp):
+                    if (2 * x[0]) % dp or norm_num(x, a, b) % (dp * dp):
                         continue
                     if _solve_int(mat, x, p) is not None:
                         continue
                     nmat, nden = _canonical_int(scaled + [list(x)], dp)
-                    if _raw_is_order(alg, nmat, nden):
+                    # x b_i = X B_i / (dp den) lies in span(nmat) / nden
+                    if all(_solve_int(nmat, [v * nden for v in mul_num(x, row, a, b)], dp * den)
+                           is not None for row in mat):
                         return nmat, nden
     return None

@@ -7,6 +7,7 @@ under test never checks itself against its own machinery.
 import math
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from sympy import Matrix
@@ -177,13 +178,21 @@ def naive_is_order(lat: Lattice4) -> bool:
     """1 in lat and lat closed under products, on Fraction coordinates.
 
     The basis comes to (1, I, J, IJ) coordinates through the order's basis
-    rows, products are naive_quat_mul, and membership is an integral
-    solution of the sympy-inverted basis matrix.
+    rows, and naive_raw_is_order decides.
     """
     order = lat.order
-    a, b = order.alg.p, order.alg.q
     basis = [[sum(Fraction(row[i], lat.den) * order.basis[i][j] for i in range(4))
               for j in range(4)] for row in lat.mat]
+    return naive_raw_is_order(order.alg.p, order.alg.q, basis)
+
+
+def naive_raw_is_order(a: int, b: int, basis) -> bool:
+    """1 in the span of the rational (1, I, J, IJ) rows basis, and all 16 products.
+
+    Every ordered pair of basis elements is multiplied with naive_quat_mul,
+    with no trace shortcut, and membership is an integral solution of the
+    sympy-inverted basis matrix.
+    """
     inv = _frac_inverse(basis)
 
     def contains(x):
@@ -191,6 +200,33 @@ def naive_is_order(lat: Lattice4) -> bool:
 
     one = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     return contains(one) and all(contains(naive_quat_mul(a, b, x, y)) for x in basis for y in basis)
+
+
+def naive_integral_extension(a: int, b: int, basis, p: int):
+    """The first one-element growth of an order by (1/p) times itself, or None.
+
+    basis holds rational (1, I, J, IJ) rows of the order.  Candidates
+    x = sum c_i basis_i / p run over c in [0, p)^4 in lexicographic order,
+    c != 0; the first x with integral trace and norm, outside the span, for
+    which basis plus x spans a ring by naive_raw_is_order (all 16 products)
+    wins.  Returns the grown span's row Hermite form over its least
+    denominator, as (integer rows, den).
+    """
+    inv = _frac_inverse(basis)
+    for c in product(range(p), repeat=4):
+        if not any(c):
+            continue
+        x = [sum(Fraction(ci, p) * bi[j] for ci, bi in zip(c, basis)) for j in range(4)]
+        nrd = x[0] ** 2 - a * x[1] ** 2 - b * x[2] ** 2 + a * b * x[3] ** 2
+        if (2 * x[0]).denominator != 1 or nrd.denominator != 1:
+            continue
+        if all(sum(x[i] * inv[i][j] for i in range(4)).denominator == 1 for j in range(4)):
+            continue
+        ints, den = _over_one_den(list(basis) + [x])
+        grown = sympy_row_hnf(ints)
+        if naive_raw_is_order(a, b, [[Fraction(v, den) for v in row] for row in grown]):
+            return grown, den
+    return None
 
 
 def eval_combo(combo, sample) -> Fraction:

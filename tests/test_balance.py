@@ -87,7 +87,13 @@ def _maps(mo_lat, n):
 
 
 def _search_every_element(spec):
-    """The search as it was before classes mod nO: every element is tried."""
+    """The search as it was before classes mod nO: every element is tried.
+
+    Each element is decided on the conjugate's Hermite form, through
+    conjugate_by, is_sublattice_of, level and is_balanced, and not through
+    balance._try_conjugator, so the oracle shares no decision code with the
+    search it checks.
+    """
     ord_lat = spec.ord
     mo = ord_lat.order
     if ord_lat.is_balanced():
@@ -107,8 +113,9 @@ def _search_every_element(spec):
                 if gamma in tried:
                     continue
                 tried.add(gamma)
-                conj = _try_conjugator(ord_lat, level, gamma)
-                if conj is not None:
+                conj = ord_lat.conjugate_by(gamma)
+                if (conj.is_sublattice_of(mo.lattice) and conj.level() == level
+                        and conj.is_balanced()):
                     return gamma, conj
     return None
 
@@ -127,6 +134,52 @@ def test_smith_condition_equals_balanced(mo):
     ]
     for lat in lats:
         assert smith_condition(lat) == lat.is_balanced(), lat.level()
+
+
+# (algebra, p) for an unbalanced Eichler order of level p^2 in each fixture
+# algebra other than (3, -1), with p coprime to the discriminant
+FIXTURE_LEVELS = [((2, -5), 7), ((2, -5), 11), ((3, -5), 7), ((3, -5), 11),
+                  ((3, -7), 5), ((3, -7), 11), ((11, -3), 5), ((11, -3), 7)]
+
+
+@pytest.mark.parametrize("ab, p", FIXTURE_LEVELS, ids=[f"{ab}-{p}" for ab, p in FIXTURE_LEVELS])
+def test_unbalanced_eichler_gets_balanced_in_every_fixture_algebra(ab, p):
+    mo = _maximal_order(ab)
+    lat = eichler_order(mo, p * p)[0]
+    assert not lat.is_balanced()
+    spec = BalanceSearchSpec(lat, frozenset({p}), 2, 8)
+    res = balanced_search(spec)
+    assert res is not None and res == _search_every_element(spec)
+    gamma, conj = res
+    assert gamma.nrd() == p
+    assert conj == lat.conjugate_by(gamma)
+    assert conj.is_sublattice_of(mo.lattice)
+    assert conj.level() == p * p
+    assert conj.is_balanced()
+    assert conj.invariant_factors_in(mo.lattice).factors == (1, 1, p, p)
+
+
+@lru_cache(maxsize=None)
+def _eichler_square(mo, p):
+    return eichler_order(mo, p * p)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_row_test_matches_the_hermite_form_containment(algebra_orders, data):
+    # the row test decides each conjugator on g b g^-1 for the four basis
+    # rows b; the reference takes the conjugate's Hermite form first
+    mo = data.draw(st.sampled_from(algebra_orders[::2])).order
+    p = data.draw(st.sampled_from([p for p in (5, 7, 11) if mo.discriminant % p]))
+    lat = _eichler_square(mo, p)
+    n = data.draw(st.sampled_from([p, -p, p * p]))
+    h = data.draw(st.sampled_from([1, 2]))
+    gammas = norm_elements(mo.lattice, n, h)
+    if not gammas:
+        return
+    gamma = data.draw(st.sampled_from(gammas))
+    want = lat.conjugate_by(gamma).is_sublattice_of(mo.lattice)
+    assert lat.conjugate_lies_in(gamma, mo.lattice) == want
 
 
 def test_candidate_norms_ascending_and_complete():

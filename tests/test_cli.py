@@ -372,6 +372,27 @@ def test_malformed_inputs_exit_1_without_traceback(tmp_path, capsys, argv, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["order"], ["count"], ["balance"], ["balance", "--order"]],
+                         ids=["order", "count", "balance", "balance-order-file"])
+def test_order_outside_the_maximal_order_is_named(tmp_path, capsys, argv):
+    # (1/3) Z<I, J> holds I / 3, which the maximal order does not; the
+    # refusal names the cause where the order is read, before any command
+    # measures it
+    third = {"den": 3, "mat": IDENTITY}
+    path = tmp_path / "in.json"
+    if argv[-1] == "--order":
+        path.write_text(json.dumps(third))
+    else:
+        path.write_text(json.dumps({"order": third}))
+        argv = argv + ["--config"]
+    out = tmp_path / "out.txt"
+    assert main(argv + [str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: order is not contained in the maximal order" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 OPTIONS = {
     "algebra": {"--config", "--out"},
     "order": {"--config", "--out"},

@@ -1,10 +1,19 @@
 """The integer MaximalOrder core and Lattice4.is_order against Fraction oracles."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_frame, naive_is_order, naive_quat_mul
+from oracles import (
+    naive_frame,
+    naive_integral_extension,
+    naive_is_order,
+    naive_quat_mul,
+    naive_raw_is_order,
+)
 from quatlat import (
     MaximalOrder,
     QuatAlg,
@@ -16,7 +25,14 @@ from quatlat import (
     z_plus_zw_order,
 )
 from quatlat.errors import TheoremViolation, UsageError
-from quatlat.lattice import Lattice4
+from quatlat.arith import factorize
+from quatlat.lattice import (
+    Lattice4,
+    _canonical_rows,
+    _find_integral_extension,
+    _raw_is_order,
+    _raw_reduced_discriminant,
+)
 
 ALGEBRAS = [(3, -1), (2, -5), (3, -5), (3, -7), (11, -3)]
 
@@ -121,3 +137,59 @@ def test_integer_is_order_matches_the_fraction_oracle(mo):
     for label, lat in non_orders:
         assert not naive_is_order(lat), label
         assert not lat.is_order(), label
+
+
+# each default maximal order's canonical (1, I, J, IJ) pair, as the closure
+# test over all 16 basis products grew it
+DEFAULT_ORDERS = {
+    (3, -1): (((1, 1, 1, 1), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)), 2),
+    (2, -5): (((1, 0, 1, 1), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)), 2),
+    (3, -5): (((3, 1, 3, 1), (0, 2, 0, 2), (0, 0, 6, 0), (0, 0, 0, 6)), 6),
+    (3, -7): (((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)), 2),
+    (11, -3): (((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 2, 0), (0, 0, 0, 2)), 2),
+}
+
+
+@lru_cache(maxsize=None)
+def _default_order(ab):
+    return default_maximal_order(QuatAlg(*ab))
+
+
+@pytest.mark.parametrize("ab", ALGEBRAS, ids=str)
+def test_default_maximal_order_is_unchanged(ab):
+    assert _canonical_rows(_ijk_rows(_default_order(ab))) == DEFAULT_ORDERS[ab]
+
+
+coeff = st.integers(-3, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ab=st.sampled_from(ALGEBRAS), w=st.tuples(coeff, coeff, coeff, coeff),
+       k=st.integers(1, 3), f=st.integers(1, 6), unit=st.booleans())
+def test_upper_triangle_closure_matches_all_pairs(ab, w, k, f, unit):
+    # Z + Z w / k + f O, with w a random element of O: an order for k = 1,
+    # and for k > 1 often not one, with or without integral traces; without
+    # the unit row, Z w / k + f O rarely holds 1
+    mo = _default_order(ab)
+    mat, den = mo.lattice.mat, mo.lattice.den
+    rows = [[Fraction(f * v, den) for v in row] for row in mat]
+    rows.append([Fraction(sum(c * row[j] for c, row in zip(w, mat)), den * k) for j in range(4)])
+    if unit:
+        rows.append([Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
+    lat = mo.lattice_from_frame_rows(rows)
+    ijk = [list(q.coords()) for q in lat.basis_quats()]
+    want = naive_raw_is_order(*ab, ijk)
+    assert lat.is_order() == want
+    ijk_mat, ijk_den = _canonical_rows(ijk)
+    assert _raw_is_order(mo.alg, ijk_mat, ijk_den) == want
+    if not want:
+        return
+    # an order that is not maximal: one growth step, which tests only the
+    # four products x b_i, against the all-pairs growth
+    excess = _raw_reduced_discriminant(mo.alg, ijk_mat, ijk_den) // mo.discriminant
+    if excess > 1:
+        p = min(factorize(excess))
+        basis = [[Fraction(v, ijk_den) for v in row] for row in ijk_mat]
+        got = _find_integral_extension(mo.alg, ijk_mat, ijk_den, p)
+        grown = naive_integral_extension(*ab, basis, p)
+        assert got == (grown and (tuple(map(tuple, grown[0])), grown[1]))
